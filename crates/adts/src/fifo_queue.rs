@@ -275,7 +275,7 @@ pub fn spec() -> SharedAdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::TxParticipant;
+    use hcc_core::runtime::{BlockPolicy, TxParticipant, WaitObserver};
     use hcc_spec::TxnId;
     use std::time::Duration;
 
@@ -382,6 +382,73 @@ mod tests {
         q.inner().commit_at(t1.id(), 1);
         let t2 = h(2);
         assert_eq!(q.deq(&t2).unwrap(), "hello");
+    }
+
+    /// A wait observer that runs a one-shot action inside `on_block`: in
+    /// the window after a refused attempt released the object latch and
+    /// before the blocked caller waits for a notification.
+    #[derive(Default)]
+    struct InWindow(std::sync::Mutex<Option<Box<dyn FnOnce() + Send>>>);
+
+    impl WaitObserver for InWindow {
+        fn on_block(&self, _: TxnId, _: &[TxnId]) {
+            let action = self.0.lock().unwrap().take();
+            if let Some(action) = action {
+                action();
+            }
+        }
+        fn on_unblock(&self, _: TxnId) {}
+    }
+
+    /// A queue whose blocked callers wait in 5 s slices (10 s timeout),
+    /// and whose first block runs `action` in the refusal window.
+    fn queue_acting_in_window(
+        action: impl FnOnce(&QueueObject<i64>) + Send + 'static,
+    ) -> Arc<QueueObject<i64>> {
+        let window = Arc::new(InWindow::default());
+        let opts = RuntimeOptions {
+            block: BlockPolicy {
+                wait_slice: Duration::from_secs(5),
+                timeout: Some(Duration::from_secs(10)),
+            },
+            ..RuntimeOptions::with_observer(window.clone())
+        };
+        let q = Arc::new(QueueObject::with("q", Arc::new(QueueTableII), opts));
+        let in_window = q.clone();
+        *window.0.lock().unwrap() = Some(Box::new(move || action(&in_window)));
+        q
+    }
+
+    /// A notification that lands between a refused attempt and its wait
+    /// must wake the caller, not be slept through for a whole slice.
+    fn assert_prompt(q: &QueueObject<i64>, expected: i64) {
+        let started = std::time::Instant::now();
+        assert_eq!(q.deq(&h(9)).unwrap(), expected);
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "blocked deq slept through its wakeup: {waited:?}"
+        );
+    }
+
+    #[test]
+    fn commit_in_the_refusal_window_wakes_a_conflicting_deq() {
+        let q = queue_acting_in_window(|q| q.inner().commit_at(TxnId(2), 2));
+        let (t1, t2) = (h(1), h(2));
+        q.enq(&t1, 1).unwrap();
+        q.inner().commit_at(t1.id(), 1);
+        q.enq(&t2, 2).unwrap(); // held: a deq of 1 conflicts with it (Table II)
+        assert_prompt(&q, 1);
+    }
+
+    #[test]
+    fn commit_in_the_refusal_window_wakes_a_deq_on_an_empty_queue() {
+        let q = queue_acting_in_window(|q| {
+            let t1 = h(1);
+            q.enq(&t1, 7).unwrap();
+            q.inner().commit_at(t1.id(), 1);
+        });
+        assert_prompt(&q, 7); // deq is undefined until the enq commits
     }
 
     #[test]

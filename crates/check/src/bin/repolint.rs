@@ -1,13 +1,14 @@
 //! `repolint` — repository-convention lints that grep-level review
 //! keeps missing, run from the repo root (CI invokes it there).
 //!
-//! 1. **WAL discipline**: direct `log_op` method calls appear only
-//!    inside `crates/storage` — every other layer logs through the
-//!    runtime's self-logging path, so a stray direct append bypasses
-//!    striping, durability policy, and recovery accounting. Integration
-//!    tests under `tests/` may hand-craft WAL records (torn tails,
-//!    divergent logs), and one workload file is grandfathered: the
-//!    ratchet denies *new* production call sites.
+//! 1. **WAL discipline**: direct store appends (`publish_op`,
+//!    `log_begin`, `log_commit`, `log_abort` method calls) appear only
+//!    inside `crates/storage` and `crates/txn` — the store and the
+//!    transaction manager / 2PC sites that own the commit protocol.
+//!    Every other layer logs through the runtime's self-logging path, so
+//!    a stray direct append bypasses striping, durability policy, and
+//!    recovery accounting. Test files may hand-craft WAL records (torn
+//!    tails, divergent logs); there are no other exemptions.
 //! 2. **Snapshot discipline**: in `crates/adts`, every `impl Snapshot
 //!    for` block overrides `snapshot_at` — the default would serialize
 //!    the latest state instead of the checkpoint watermark's, silently
@@ -33,6 +34,11 @@
 //!    crate's sources, so a future "optimization" cannot quietly turn
 //!    replay into re-execution (which would re-take locks, re-run
 //!    nondeterministic choices, and diverge from the primary).
+//! 6. **One replay path**: a logged payload re-enters an object only
+//!    through `hcc-txn`'s `replay_object_ops` — `replay_op` method calls
+//!    appear in non-test code only in `crates/txn/src/registry.rs`, so
+//!    crash recovery, 2PC site recovery, `Db::open` and replication
+//!    followers cannot drift apart into separate replay rules.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -65,8 +71,14 @@ fn main() {
     rust_files(&root, &mut files);
     files.sort();
 
-    // Assembled so this linter's own source does not contain its needle.
-    let log_op_call = [".log", "_op("].concat();
+    // Assembled so this linter's own source does not contain its needles.
+    let wal_appends = [
+        [".publish", "_op("].concat(),
+        [".log", "_begin("].concat(),
+        [".log", "_commit("].concat(),
+        [".log", "_abort("].concat(),
+    ];
+    let replay_op_call = [".replay", "_op("].concat();
     let raw_sockets = [["Tcp", "Stream"].concat(), ["Tcp", "Listener"].concat()];
     // Every way code reaches the lock manager: executing an operation
     // (`.execute(` / `try_execute`) or testing a lock directly
@@ -75,15 +87,9 @@ fn main() {
     let lock_needles =
         [[".exec", "ute("].concat(), ["try_", "execute"].concat(), ["atte", "mpt("].concat()];
 
-    // The ratchet's standing exceptions: tests that hand-craft WAL
-    // records on purpose, and the manual-discipline workload whose whole
-    // point is demonstrating the caller-driven append (its comment calls
-    // itself "the only caller-driven append left in the workspace").
-    let log_op_allowed = |rel: &str| {
-        rel.starts_with("tests/")
-            || rel.contains("/tests/")
-            || rel == "crates/workload/src/crash.rs"
-    };
+    // Test files are exempt from the WAL and replay ratchets: they
+    // hand-craft records and replay divergent logs on purpose.
+    let is_test = |rel: &str| rel.starts_with("tests/") || rel.contains("/tests/");
 
     let mut findings = Vec::new();
     for path in &files {
@@ -91,11 +97,29 @@ fn main() {
         let rel = path.strip_prefix(&root).unwrap_or(path);
         let rel_s = rel.to_string_lossy().replace('\\', "/");
 
-        if !rel_s.starts_with("crates/storage/") && !log_op_allowed(&rel_s) {
+        if !rel_s.starts_with("crates/storage/")
+            && !rel_s.starts_with("crates/txn/")
+            && !is_test(&rel_s)
+        {
             for (i, line) in text.lines().enumerate() {
-                if line.contains(&log_op_call) {
+                for needle in &wal_appends {
+                    if line.contains(needle.as_str()) {
+                        findings.push(format!(
+                            "{rel_s}:{}: direct WAL append `{needle}` outside crates/storage \
+                             and crates/txn (objects self-log through the runtime)",
+                            i + 1
+                        ));
+                    }
+                }
+            }
+        }
+
+        if rel_s != "crates/txn/src/registry.rs" && !is_test(&rel_s) {
+            for (i, line) in text.lines().enumerate() {
+                if line.contains(&replay_op_call) {
                     findings.push(format!(
-                        "{rel_s}:{}: direct WAL append `{log_op_call}` outside crates/storage",
+                        "{rel_s}:{}: `{replay_op_call}` outside crates/txn/src/registry.rs \
+                         (replay through registry::replay_object_ops, the one replay path)",
                         i + 1
                     ));
                 }

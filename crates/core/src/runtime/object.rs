@@ -202,6 +202,10 @@ struct ObjState<A: RuntimeAdt> {
     /// gone. [`TxObject::snapshot_read`] refuses watermarks below this
     /// instead of serving the folded state as if it were the older image.
     folded: u64,
+    /// Completion notifications sent so far: bumped under the latch
+    /// before every `notify_all`, so a blocked `execute` can tell that a
+    /// notification landed between its refused attempt and its wait.
+    wakes: u64,
 }
 
 /// A thread-safe transactional object running one data type under one
@@ -255,6 +259,7 @@ impl<A: RuntimeAdt> TxObject<A> {
                 clock: 0,
                 bounds: HashMap::new(),
                 folded: 0,
+                wakes: 0,
             }),
             cv: Condvar::new(),
             executed: AtomicU64::new(0),
@@ -287,18 +292,20 @@ impl<A: RuntimeAdt> TxObject<A> {
         txn: &Arc<TxnHandle>,
         inv: &A::Inv,
     ) -> Result<TryExecOutcome<A::Res>, ExecError> {
-        self.try_execute_inner(txn, inv, &mut None)
+        self.try_execute_inner(txn, inv, &mut None, &mut 0)
     }
 
-    /// [`TxObject::try_execute`] plus a wait-counter hint: on a refusal,
-    /// `wait_hint` is filled with the pair-keyed wait counter so the
-    /// blocking loop in [`TxObject::execute`] can count each wait slice
-    /// without re-deriving the conflict-class labels.
+    /// [`TxObject::try_execute`] plus two hints for the blocking loop in
+    /// [`TxObject::execute`]: on a refusal, `wait_hint` is filled with the
+    /// pair-keyed wait counter (so each wait slice is counted without
+    /// re-deriving the conflict-class labels), and `wakes_seen` with the
+    /// notification count the attempt observed under the latch.
     fn try_execute_inner(
         self: &Arc<Self>,
         txn: &Arc<TxnHandle>,
         inv: &A::Inv,
         wait_hint: &mut Option<Arc<Counter>>,
+        wakes_seen: &mut u64,
     ) -> Result<TryExecOutcome<A::Res>, ExecError> {
         if txn.is_doomed() {
             return Err(ExecError::Doomed);
@@ -349,6 +356,7 @@ impl<A: RuntimeAdt> TxObject<A> {
                 }
             }
         } else {
+            *wakes_seen = st.wakes;
             drop(st);
             if let TryExecOutcome::Conflict(_) = &outcome {
                 self.conflicts.fetch_add(1, Ordering::Relaxed);
@@ -466,7 +474,8 @@ impl<A: RuntimeAdt> TxObject<A> {
         let mut wait_counter: Option<Arc<Counter>> = None;
         loop {
             let mut wait_hint = None;
-            match self.try_execute_inner(txn, &inv, &mut wait_hint)? {
+            let mut wakes_seen = 0;
+            match self.try_execute_inner(txn, &inv, &mut wait_hint, &mut wakes_seen)? {
                 TryExecOutcome::Executed(res) => {
                     if blocked {
                         self.opts.observer.on_unblock(txn.id());
@@ -503,8 +512,13 @@ impl<A: RuntimeAdt> TxObject<A> {
             if let Some(tr) = &self.opts.trace {
                 tr.record(txn.id().0, &self.name, "wait", String::new());
             }
+            // A commit, abort or unpin that landed after the refused
+            // attempt dropped the latch already sent its notification;
+            // waiting now would sleep through it for a whole slice.
             let mut st = self.inner.lock();
-            self.cv.wait_for(&mut st, self.opts.block.wait_slice);
+            if st.wakes == wakes_seen {
+                self.cv.wait_for(&mut st, self.opts.block.wait_slice);
+            }
             drop(st);
             if txn.is_doomed() {
                 self.opts.observer.on_unblock(txn.id());
@@ -671,6 +685,7 @@ impl<A: RuntimeAdt> TxObject<A> {
         let mut st = self.inner.lock();
         st.bounds.remove(&HORIZON_PIN);
         self.forget(&mut st);
+        st.wakes += 1;
         drop(st);
         self.cv.notify_all();
     }
@@ -731,6 +746,7 @@ impl<A: RuntimeAdt> TxParticipant for TxObject<A> {
         }
         st.bounds.remove(&txn);
         self.forget(&mut st);
+        st.wakes += 1;
         drop(st);
         self.cv.notify_all();
     }
@@ -740,6 +756,7 @@ impl<A: RuntimeAdt> TxParticipant for TxObject<A> {
         st.active.remove(&txn);
         st.bounds.remove(&txn);
         self.forget(&mut st);
+        st.wakes += 1;
         drop(st);
         self.cv.notify_all();
     }

@@ -15,8 +15,10 @@ use crate::tx::{RetryPolicy, Tx};
 use hcc_core::runtime::{Durability, RuntimeOptions};
 use hcc_obs::{Counter, Histogram};
 use hcc_spec::Timestamp;
-use hcc_storage::{Checkpoint, CompactionPolicy, DurableObject, DurableStore, StorageOptions};
-use hcc_txn::registry::{self, Decisions, RecoveryReport, Registry};
+use hcc_storage::{
+    Checkpoint, CompactionPolicy, DurableObject, DurableStore, StorageError, StorageOptions,
+};
+use hcc_txn::registry::{Decisions, PendingImage, RecoveryReport, Registry};
 use hcc_txn::TxnManager;
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
@@ -116,44 +118,12 @@ impl DbBuilder {
         let store = mgr.storage().expect("with_storage attaches a store").clone();
         // One pass over the log serves both the store's clock/id seeding
         // and this materialization: the open above already decoded every
-        // surviving record and retained the image; claim it instead of
-        // re-scanning the directory (static re-read only as fallback).
-        let mut recovered = match store.take_recovered()? {
-            Some(recovered) => recovered,
-            None => store.reread_recovered()?,
-        };
-
-        // Merge decided in-doubt transactions (2PC participant recovery)
-        // into the committed tail — the same `resolve_committed` rule the
-        // registry path uses, including the DecisionBelowCheckpoint
-        // refusal — and slice the image by object name once, so each
-        // handle materializes from (and frees) exactly its own share.
-        // The owned resolve *moves* every payload into its name's slice;
-        // nothing is copied.
-        let checkpoint_ts = recovered.checkpoint.as_ref().map_or(0, |c| c.last_ts);
-        let resolved = registry::resolve_committed_owned(&mut recovered, &self.decisions)?;
-        let replayed = resolved.len();
-        let mut tail: HashMap<String, Vec<TailTxn>> = HashMap::new();
-        for c in resolved {
-            // `c.ops` is in execution (ticket) order and the resolved
-            // list in timestamp order, so each per-name slice stays in
-            // replay order.
-            for (name, bytes) in c.ops {
-                let slot = tail.entry(name).or_default();
-                match slot.last_mut() {
-                    Some((txn, _, ops)) if *txn == c.txn => ops.push(bytes),
-                    _ => slot.push((c.txn, c.ts, vec![bytes])),
-                }
-            }
-        }
-        let report = RecoveryReport { checkpoint_ts, replayed, torn_tail: recovered.torn_tail };
-
-        let mut snapshots: HashMap<String, Vec<u8>> = HashMap::new();
-        if let Some(ckpt) = recovered.checkpoint {
-            snapshots.extend(ckpt.objects);
-        }
-        let unmaterialized: HashSet<String> =
-            snapshots.keys().chain(tail.keys()).cloned().collect();
+        // surviving record and retained the image, and nothing has
+        // appended (which would release it) since — claim it instead of
+        // re-scanning the directory, and slice it by object name once.
+        let image = claim_image(&store, &self.decisions)
+            .inspect_err(|e| mgr.recovery_refused_trace(&e.to_string()))?;
+        let unmaterialized = image.names();
         if unmaterialized.is_empty() {
             store.mark_state_absorbed();
         }
@@ -167,14 +137,12 @@ impl DbBuilder {
             lock_timeout: self.lock_timeout,
             registry: RwLock::new(Registry::new()),
             handles: Mutex::new(HashMap::new()),
+            report: image.report(),
             pending: Mutex::new(PendingRecovery {
-                checkpoint_ts,
-                snapshots,
-                tail,
+                image,
                 unmaterialized,
                 poisoned: HashSet::new(),
             }),
-            report,
             transact_attempts,
             transact_backoff_nanos,
             read_instruments,
@@ -196,9 +164,7 @@ impl DbBuilder {
             registry: RwLock::new(Registry::new()),
             handles: Mutex::new(HashMap::new()),
             pending: Mutex::new(PendingRecovery {
-                checkpoint_ts: 0,
-                snapshots: HashMap::new(),
-                tail: HashMap::new(),
+                image: PendingImage::default(),
                 unmaterialized: HashSet::new(),
                 poisoned: HashSet::new(),
             }),
@@ -210,9 +176,18 @@ impl DbBuilder {
     }
 }
 
-/// One object's slice of one recovered transaction: `(txn, ts, op
-/// payloads in execution order)`.
-type TailTxn = (u64, u64, Vec<Vec<u8>>);
+/// Claim the store's open-time recovery image and slice it by object
+/// name, merging the coordinator `decisions` into the committed tail.
+fn claim_image(store: &DurableStore, decisions: &Decisions) -> Result<PendingImage, HccError> {
+    let recovered = store.take_recovered()?.ok_or_else(|| {
+        // Only reachable if something claimed or released the image
+        // between the store's open and this call.
+        HccError::Storage(StorageError::Io(std::io::Error::other(
+            "the store's open-time recovery image was already claimed",
+        )))
+    })?;
+    Ok(PendingImage::slice(recovered, decisions)?)
+}
 
 /// Aborts one `transact` attempt's transaction when dropped — the
 /// scope's abort path, covering both `Err` returns and panics
@@ -231,16 +206,11 @@ impl Drop for AbortOnDrop<'_> {
 }
 
 /// Durable state recovered from the log but not yet installed into a
-/// live object — already sliced per object name, consumed (and freed)
-/// name by name as [`Db::object`] / [`Db::attach`] materialize handles.
+/// live object, consumed (and freed) name by name as [`Db::object`] /
+/// [`Db::attach`] materialize handles.
 struct PendingRecovery {
-    /// The restored checkpoint's watermark (0 = none).
-    checkpoint_ts: u64,
-    /// Per-name checkpoint snapshot bytes.
-    snapshots: HashMap<String, Vec<u8>>,
-    /// Per-name slices of the committed tail in replay order:
-    /// `name → [(txn, ts, op payloads)]`.
-    tail: HashMap<String, Vec<TailTxn>>,
+    /// The recovered image, sliced per object name.
+    image: PendingImage,
     /// Names the log knows that no live handle has absorbed yet. The
     /// store refuses checkpoints until this drains — a checkpoint taken
     /// earlier would claim coverage of history its snapshots lack, then
@@ -363,31 +333,23 @@ impl Db {
         Ok(obj)
     }
 
-    /// Install the log's state for one object: checkpoint snapshot
-    /// first, then its slice of the committed tail in replay order, each
-    /// replayed operation pinned to its logged response
-    /// ([`registry::replay_object_ops`]). The name's share of the
-    /// pending image is consumed — freed — only on success: a failed
-    /// materialization (wrong type asked for the name, replay
-    /// divergence) leaves it pending, so a later open retries the
-    /// recovery instead of minting a blank twin. (The retry is sound
-    /// because [`Db::object`] discards the partially-mutated instance
-    /// and builds a fresh one; [`Db::attach`] cannot, and poisons the
-    /// name instead.)
+    /// Install the log's state for one object
+    /// ([`PendingImage::materialize`]). A failed materialization (wrong
+    /// type asked for the name, replay divergence) leaves the name
+    /// pending, so a later open retries the recovery instead of minting a
+    /// blank twin. (The retry is sound because [`Db::object`] discards
+    /// the partially-mutated instance and builds a fresh one;
+    /// [`Db::attach`] cannot, and poisons the name instead.)
     fn materialize(&self, obj: &dyn DurableObject) -> Result<(), HccError> {
         let name = obj.object_name();
         let mut pending = self.pending.lock();
         if !pending.unmaterialized.contains(name) {
             return Ok(()); // nothing durable under this name
         }
-        if let Some(data) = pending.snapshots.get(name) {
-            obj.restore(data, pending.checkpoint_ts)?;
-        }
-        for (txn, ts, ops) in pending.tail.get(name).into_iter().flatten() {
-            registry::replay_object_ops(obj, *txn, *ts, ops)?;
-        }
-        pending.snapshots.remove(name);
-        pending.tail.remove(name);
+        pending
+            .image
+            .materialize(obj)
+            .inspect_err(|e| self.mgr.recovery_refused_trace(&e.to_string()))?;
         pending.unmaterialized.remove(name);
         Ok(())
     }
@@ -476,12 +438,12 @@ impl Db {
     /// unopened — a checkpoint then would claim coverage of state no
     /// live object holds.
     pub fn checkpoint(&self) -> Result<Option<Checkpoint>, HccError> {
-        self.mgr.checkpoint_registry(&self.registry.read()).map_err(Into::into)
+        self.mgr.checkpoint(&self.registry.read().snapshot_refs()).map_err(Into::into)
     }
 
     /// [`Db::checkpoint`] iff the store's compaction policy asks for it.
     pub fn maybe_checkpoint(&self) -> Result<Option<Checkpoint>, HccError> {
-        self.mgr.maybe_checkpoint_registry(&self.registry.read()).map_err(Into::into)
+        self.mgr.maybe_checkpoint(&self.registry.read().snapshot_refs()).map_err(Into::into)
     }
 
     /// What opening this database recovered: checkpoint watermark,

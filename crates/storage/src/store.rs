@@ -343,8 +343,8 @@ impl DurableStore {
     /// identical to [`DurableStore::recover`] on the same directory, but
     /// served from the image the open already decoded, so the log is
     /// scanned once, not twice. Returns `Some` exactly once; `None`
-    /// after it was claimed or after [`DurableStore::mark_state_absorbed`]
-    /// dropped it (callers then fall back to the static re-read).
+    /// after it was claimed, or after [`DurableStore::mark_state_absorbed`]
+    /// or the first append dropped it.
     pub fn take_recovered(&self) -> Result<Option<Recovered>, StorageError> {
         self.open_image_present.store(false, Ordering::Relaxed);
         let image =
@@ -357,18 +357,6 @@ impl DurableStore {
             }
             None => Ok(None),
         }
-    }
-
-    /// Re-read the durable state from disk through this instance —
-    /// byte-equal to the static [`DurableStore::recover`], but the
-    /// recovery totals (`recovery.*`) land in this store's metric
-    /// registry. The fallback when the open-time image was already
-    /// claimed or released.
-    pub fn reread_recovered(&self) -> Result<Recovered, StorageError> {
-        let checkpoint = Checkpoint::load_latest(&self.dir)?;
-        let (records, torn_tail) = read_records(&self.dir)?;
-        self.metrics.counter("recovery.segments_scanned").add(self.wal.stats().segments);
-        assemble_recovered(checkpoint, records, torn_tail, Some(&self.metrics))
     }
 
     /// Attest that the caller's live objects reflect every commit at or
@@ -450,14 +438,6 @@ impl DurableStore {
         self.release_image_on_append();
         let obj = self.object_id(object)?;
         self.wal.append_op(ticket, txn, obj, op)
-    }
-
-    /// Log one executed operation, reserving its ticket at append time
-    /// (single-phase; callers that executed under an object lock should
-    /// use [`DurableStore::reserve_ticket`] + [`DurableStore::publish_op`]
-    /// instead so the ticket order matches the execution order).
-    pub fn log_op(&self, txn: u64, object: &str, op: &[u8]) -> Result<(), StorageError> {
-        self.publish_op(self.wal.reserve(), txn, object, op)
     }
 
     /// The registry id for `object`, assigning (and durably registering)
@@ -858,7 +838,7 @@ mod tests {
 
     fn run_txn(store: &DurableStore, cell: &Cell, txn: u64, ts: u64, v: i64) {
         store.log_begin(txn).unwrap();
-        store.log_op(txn, "cell", &v.to_le_bytes()).unwrap();
+        store.publish_op(store.reserve_ticket(), txn, "cell", &v.to_le_bytes()).unwrap();
         cell.add(v);
         store.log_commit(txn, ts).unwrap();
     }
@@ -889,7 +869,7 @@ mod tests {
             }
             // An aborted transaction must not replay.
             store.log_begin(99).unwrap();
-            store.log_op(99, "cell", &1000i64.to_le_bytes()).unwrap();
+            store.publish_op(store.reserve_ticket(), 99, "cell", &1000i64.to_le_bytes()).unwrap();
             store.log_abort(99).unwrap();
         }
         let recovered = DurableStore::recover(&dir).unwrap();
@@ -951,7 +931,9 @@ mod tests {
             for i in 1..=40u64 {
                 let name = format!("cell-{}", i % 5);
                 store.log_begin(i).unwrap();
-                store.log_op(i, &name, &(i as i64).to_le_bytes()).unwrap();
+                store
+                    .publish_op(store.reserve_ticket(), i, &name, &(i as i64).to_le_bytes())
+                    .unwrap();
                 store.log_commit(i, i).unwrap();
             }
         };
@@ -1026,12 +1008,12 @@ mod tests {
         {
             let store = DurableStore::open(&dir, small_opts()).unwrap();
             store.log_begin(1).unwrap();
-            store.log_op(1, "cell", &5i64.to_le_bytes()).unwrap();
+            store.publish_op(store.reserve_ticket(), 1, "cell", &5i64.to_le_bytes()).unwrap();
             store.log_commit(1, 1).unwrap();
             // Txn 2 voted yes somewhere and crashed before the decision
             // arrived: ops, no completion record.
             store.log_begin(2).unwrap();
-            store.log_op(2, "cell", &7i64.to_le_bytes()).unwrap();
+            store.publish_op(store.reserve_ticket(), 2, "cell", &7i64.to_le_bytes()).unwrap();
         }
         let recovered = DurableStore::recover(&dir).unwrap();
         assert_eq!(recovered.committed.len(), 1);
@@ -1049,7 +1031,7 @@ mod tests {
             // its fsync failed, so the manager aborted and told the client
             // the commit did not happen.
             store.log_begin(5).unwrap();
-            store.log_op(5, "cell", &7i64.to_le_bytes()).unwrap();
+            store.publish_op(store.reserve_ticket(), 5, "cell", &7i64.to_le_bytes()).unwrap();
             store.log_commit(5, 9).unwrap();
             store.log_abort(5).unwrap();
         }
@@ -1098,11 +1080,11 @@ mod tests {
             // lands on stripe 1 while its cell-b op sits alone at stripe
             // 0's tail.
             store.log_begin(3).unwrap();
-            store.log_op(3, "cell-a", &1i64.to_le_bytes()).unwrap();
-            store.log_op(3, "cell-b", &2i64.to_le_bytes()).unwrap();
+            store.publish_op(store.reserve_ticket(), 3, "cell-a", &1i64.to_le_bytes()).unwrap();
+            store.publish_op(store.reserve_ticket(), 3, "cell-b", &2i64.to_le_bytes()).unwrap();
             store.log_commit(3, 1).unwrap();
             store.log_begin(5).unwrap();
-            store.log_op(5, "cell-a", &3i64.to_le_bytes()).unwrap();
+            store.publish_op(store.reserve_ticket(), 5, "cell-a", &3i64.to_le_bytes()).unwrap();
             store.log_commit(5, 2).unwrap();
         }
         // Chop cell-b's op off stripe 0's tail; stripe 1 (commit record,
@@ -1136,11 +1118,11 @@ mod tests {
             // home stripe 1. txn 4 touches only cell-b (stripe 0) → its
             // commit lands on stripe 0 with its op.
             store.log_begin(3).unwrap();
-            store.log_op(3, "cell-a", &1i64.to_le_bytes()).unwrap(); // id 1 → stripe 1
-            store.log_op(3, "cell-b", &2i64.to_le_bytes()).unwrap(); // id 2 → stripe 0
+            store.publish_op(store.reserve_ticket(), 3, "cell-a", &1i64.to_le_bytes()).unwrap(); // id 1 → stripe 1
+            store.publish_op(store.reserve_ticket(), 3, "cell-b", &2i64.to_le_bytes()).unwrap(); // id 2 → stripe 0
             store.log_commit(3, 1).unwrap();
             store.log_begin(4).unwrap();
-            store.log_op(4, "cell-b", &3i64.to_le_bytes()).unwrap();
+            store.publish_op(store.reserve_ticket(), 4, "cell-b", &3i64.to_le_bytes()).unwrap();
             store.log_commit(4, 2).unwrap();
         }
         // Cut stripe 1's tail: txn 3 loses its commit record (and its

@@ -12,24 +12,24 @@
 //!   two-phase protocol over every object the transaction touched, so a
 //!   transaction never commits at some objects and aborts at others. The
 //!   manager is also the **redo sink** its objects self-log through
-//!   (`object_options` binds them), and [`registry`] replays a recovered
-//!   log back into registered objects by name. A message-passing
+//!   (`object_options` binds them). A message-passing
 //!   simulation of the distributed version — with per-site WALs and a
 //!   coordinator decision log — lives in [`sim`].
 //! * **Deadlock handling** ([`deadlock`]): the paper names "the usual
 //!   remedies (e.g., timeout or detection)"; both are here — a
 //!   waits-for-graph detector with youngest-victim selection, and the
 //!   timeout policy built into `hcc-core`'s blocking.
-//! * **Recovery** ([`wal`]): a write-ahead log of operations and
-//!   completion records; replay reconstructs the committed state after a
-//!   crash, in commit-timestamp order.
+//! * **Recovery** ([`registry`]): the durable log itself lives in
+//!   `hcc-storage`; the registry slices a recovered log image by object
+//!   name and replays each object's share in commit-timestamp order —
+//!   the one replay path, shared by `hcc-db`'s open, the 2PC site
+//!   recovery in [`sim`], and replication followers.
 
 pub mod clock;
 pub mod deadlock;
 pub mod manager;
 pub mod registry;
 pub mod sim;
-pub mod wal;
 
 pub use clock::LogicalClock;
 pub use deadlock::DeadlockDetector;

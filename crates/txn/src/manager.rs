@@ -11,7 +11,7 @@
 
 use crate::clock::LogicalClock;
 use crate::deadlock::DeadlockDetector;
-use crate::registry::{RecoveryError, RecoveryReport, Registry};
+use crate::registry::RecoveryError;
 use hcc_core::runtime::{
     HorizonPins, PinGuard, RedoSink, RedoTicket, RuntimeOptions, TxnHandle, TxnPhase,
 };
@@ -546,37 +546,11 @@ impl TxnManager {
         }
     }
 
-    /// Rebuild the registered objects from this manager's durable log:
-    /// newest checkpoint restored, committed tail replayed in timestamp
-    /// order through each object's own redo decoder, and the store marked
-    /// absorbed (so checkpointing is allowed again). Call once, right
-    /// after constructing the objects and before running transactions.
-    /// Returns an empty report when the manager has no store.
-    pub fn recover(&self, registry: &Registry) -> Result<RecoveryReport, RecoveryError> {
-        let Some(store) = &self.store else { return Ok(RecoveryReport::default()) };
-        // The store's open already decoded the surviving log once; use
-        // that image instead of re-reading every segment. The static
-        // re-read remains as the fallback for a store whose image was
-        // already claimed.
-        let recovered = match store.take_recovered() {
-            Ok(Some(recovered)) => recovered,
-            Ok(None) => store.reread_recovered().inspect_err(|e| {
-                self.recovery_refused_trace(&e.to_string());
-            })?,
-            Err(e) => {
-                self.recovery_refused_trace(&e.to_string());
-                return Err(e.into());
-            }
-        };
-        let report = registry
-            .restore_and_replay(&recovered)
-            .inspect_err(|e| self.recovery_refused_trace(&e.to_string()))?;
-        store.mark_state_absorbed();
-        Ok(report)
-    }
-
-    /// Recovery refused the log: dump the flight recorder, if running.
-    fn recovery_refused_trace(&self, detail: &str) {
+    /// Recovery refused the log: record a `recovery.fail` event and dump
+    /// the flight recorder, if one is running, so the refusal's lead-up
+    /// is readable instead of lost. Called by the recovery entry point
+    /// (`hcc-db`'s open and per-object materialization) on every refusal.
+    pub fn recovery_refused_trace(&self, detail: &str) {
         if let Some(tr) = &self.trace {
             tr.record(0, "", "recovery.fail", detail.to_string());
             tr.dump_to_stderr(&format!("recovery refused the log: {detail}"));
@@ -594,7 +568,8 @@ impl TxnManager {
     /// ([`Snapshot::snapshot_at`]), while concurrent commits (all with
     /// `ts > ts0`) keep flowing; recovery replays them over the fuzzy
     /// image in timestamp order. The gate-hold duration is recorded in
-    /// [`TxnManager::last_checkpoint_gate_nanos`].
+    /// the `ckpt.gate_nanos` histogram and the `ckpt.last_gate_nanos`
+    /// gauge.
     pub fn checkpoint(
         &self,
         objects: &[(&str, &dyn Snapshot)],
@@ -626,20 +601,6 @@ impl TxnManager {
         Ok(Some(ckpt))
     }
 
-    /// How long the most recent [`TxnManager::checkpoint`] held the
-    /// commit gate exclusively (nanoseconds) — the entire stall a fuzzy
-    /// checkpoint imposes on concurrent commits.
-    ///
-    /// Superseded by the checkpoint histogram family: read the
-    /// `ckpt.last_gate_nanos` gauge (this value), the `ckpt.gate_nanos`
-    /// histogram (every checkpoint, not just the last), and
-    /// `ckpt.duration_nanos` from [`TxnManager::metrics`] snapshots.
-    #[doc(hidden)]
-    #[deprecated(since = "0.2.0", note = "read the ckpt.* metrics from TxnManager::metrics()")]
-    pub fn last_checkpoint_gate_nanos(&self) -> u64 {
-        self.instruments.ckpt_last_gate.get() as u64
-    }
-
     /// Checkpoint iff the store's compaction policy asks for it.
     pub fn maybe_checkpoint(
         &self,
@@ -647,26 +608,6 @@ impl TxnManager {
     ) -> Result<Option<Checkpoint>, StorageError> {
         match &self.store {
             Some(store) if store.should_checkpoint() => self.checkpoint(objects),
-            _ => Ok(None),
-        }
-    }
-
-    /// [`TxnManager::checkpoint`] over every object in a [`Registry`].
-    pub fn checkpoint_registry(
-        &self,
-        registry: &Registry,
-    ) -> Result<Option<Checkpoint>, StorageError> {
-        self.checkpoint(&registry.snapshot_refs())
-    }
-
-    /// [`TxnManager::maybe_checkpoint`] over every object in a
-    /// [`Registry`].
-    pub fn maybe_checkpoint_registry(
-        &self,
-        registry: &Registry,
-    ) -> Result<Option<Checkpoint>, StorageError> {
-        match &self.store {
-            Some(store) if store.should_checkpoint() => self.checkpoint_registry(registry),
             _ => Ok(None),
         }
     }
@@ -965,9 +906,6 @@ mod tests {
             Arc::new(hcc_adts::account::AccountHybrid),
             mgr.object_options(),
         ));
-        let mut registry = Registry::new();
-        registry.register(a.clone());
-        mgr.recover(&registry).unwrap();
 
         let t = mgr.begin();
         a.credit(&t, r(7)).unwrap();
@@ -980,7 +918,7 @@ mod tests {
             mgr.commit(t).unwrap();
         }
         let ckpt = mgr
-            .checkpoint_registry(&registry)
+            .checkpoint(&[("a", &*a)])
             .expect("checkpoint must complete while a reader pin is live")
             .expect("store attached");
         assert!(ckpt.last_ts > 0);

@@ -11,7 +11,7 @@
 use hcc_core::runtime::{ReplayError, TxnHandle, TxnPhase};
 use hcc_spec::TxnId;
 use hcc_storage::{CommittedTxn, DurableObject, Recovered, SnapshotError, StorageError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Commit decisions recovered from a coordinator's log: `txn → ts`.
@@ -141,98 +141,123 @@ impl Registry {
         self.objects.iter().map(|(n, o)| (n.as_str(), o.as_ref() as _)).collect()
     }
 
-    fn object(&self, name: &str) -> Result<&Arc<dyn DurableObject>, RecoveryError> {
-        self.get(name).ok_or_else(|| RecoveryError::UnknownObject { object: name.to_string() })
-    }
-
-    /// Install a recovered checkpoint's snapshots into the registered
-    /// objects.
-    pub fn restore_checkpoint(&self, ckpt: &hcc_storage::Checkpoint) -> Result<(), RecoveryError> {
-        for (name, data) in &ckpt.objects {
-            self.object(name)?.restore(data, ckpt.last_ts)?;
-        }
-        Ok(())
-    }
-
-    /// Replay one recovered transaction: each redo payload at its object
-    /// (reproducing the logged response or failing), then the commit event
-    /// at the recovered timestamp at every object it touched.
-    pub fn replay_txn(
-        &self,
-        txn: u64,
-        ts: u64,
-        ops: &[(String, Vec<u8>)],
-    ) -> Result<(), RecoveryError> {
-        let t = TxnHandle::replay(TxnId(txn));
-        for (object, bytes) in ops {
-            self.object(object)?
-                .replay_op(&t, bytes)
-                .map_err(|error| RecoveryError::Replay { object: object.clone(), error })?;
-        }
-        t.set_phase(TxnPhase::Committed(ts));
-        for p in t.participants() {
-            p.commit_at(t.id(), ts);
-        }
-        Ok(())
-    }
-
-    /// Rebuild the registered objects from a [`Recovered`] log image:
-    /// checkpoint snapshots first, then the committed tail in timestamp
-    /// order. In-doubt transactions are ignored (single-site semantics);
-    /// distributed sites resolve them with
-    /// [`Registry::restore_and_replay_resolved`].
+    /// Rebuild the registered objects from a [`Recovered`] log image —
+    /// the one recovery rule, shared with `hcc-db`'s open path: the image
+    /// is sliced by object name ([`PendingImage::slice`]) and each
+    /// registered object materializes its own slice (checkpoint snapshot,
+    /// then its share of the committed tail in timestamp order). In-doubt
+    /// transactions with a coordinator `decision` replay as committed at
+    /// their decided timestamp (2PC participant recovery); undecided ones
+    /// stay dropped, and a decision at or below the checkpoint watermark
+    /// is refused as [`RecoveryError::DecisionBelowCheckpoint`]. A logged
+    /// name nobody registered is refused as
+    /// [`RecoveryError::UnknownObject`].
     pub fn restore_and_replay(
         &self,
-        recovered: &Recovered,
-    ) -> Result<RecoveryReport, RecoveryError> {
-        self.restore_and_replay_resolved(recovered, &Decisions::new())
-    }
-
-    /// [`Registry::restore_and_replay`] for a 2PC participant: in-doubt
-    /// transactions (ops logged, no local completion record — the site
-    /// crashed between its yes-vote and the phase-2 message) with a
-    /// coordinator `decision` replay as committed at their decided
-    /// timestamp, merged in timestamp order with the locally decided
-    /// tail; undecided ones stay dropped (no decision record means
-    /// abort). A decision at or below the restored checkpoint watermark
-    /// is refused as [`RecoveryError::DecisionBelowCheckpoint`].
-    pub fn restore_and_replay_resolved(
-        &self,
-        recovered: &Recovered,
+        recovered: Recovered,
         decisions: &Decisions,
     ) -> Result<RecoveryReport, RecoveryError> {
-        let mut report = RecoveryReport { torn_tail: recovered.torn_tail, ..Default::default() };
-        if let Some(ckpt) = &recovered.checkpoint {
-            self.restore_checkpoint(ckpt)?;
-            report.checkpoint_ts = ckpt.last_ts;
+        let mut image = PendingImage::slice(recovered, decisions)?;
+        for obj in self.objects.values() {
+            image.materialize(obj.as_ref())?;
         }
-        for c in resolve_committed(recovered, decisions)? {
-            self.replay_txn(c.txn, c.ts, c.ops)?;
-            report.replayed += 1;
+        match image.names().into_iter().min() {
+            Some(object) => Err(RecoveryError::UnknownObject { object }),
+            None => Ok(image.report()),
         }
-        Ok(report)
     }
 }
 
-/// One resolved transaction of a recovered image, borrowing its
-/// operations from the [`Recovered`] log image.
-#[derive(Clone, Copy)]
-pub struct ResolvedTxn<'a> {
-    /// Commit timestamp (the *decided* timestamp for a resolved in-doubt
-    /// transaction).
-    pub ts: u64,
-    /// Transaction id.
-    pub txn: u64,
-    /// Logged operations in execution order.
-    pub ops: &'a [(String, Vec<u8>)],
+/// One object's slice of one recovered transaction: `(txn, ts, op
+/// payloads in execution order)`.
+type TailTxn = (u64, u64, Vec<Vec<u8>>);
+
+/// Durable state recovered from the log but not yet installed into a
+/// live object — sliced per object name, consumed (and freed) name by
+/// name as objects materialize.
+#[derive(Default)]
+pub struct PendingImage {
+    /// What the slicing recovered: checkpoint watermark, resolved tail
+    /// size, torn-tail flag.
+    report: RecoveryReport,
+    /// Per-name checkpoint snapshot bytes.
+    snapshots: HashMap<String, Vec<u8>>,
+    /// Per-name slices of the committed tail in replay order:
+    /// `name → [(txn, ts, op payloads)]`.
+    tail: HashMap<String, Vec<TailTxn>>,
 }
 
-/// The validity half of the 2PC resolution rule, shared by both
-/// `resolve_committed` variants: every *decided* in-doubt transaction
-/// must land strictly above the checkpoint watermark (the snapshot
-/// excludes it, so replaying below the watermark would apply it out of
-/// timestamp order). Returns the watermark.
-fn validate_decisions(recovered: &Recovered, decisions: &Decisions) -> Result<u64, RecoveryError> {
+impl PendingImage {
+    /// Merge decided in-doubt transactions (2PC participant recovery)
+    /// into the committed tail ([`RecoveryError::DecisionBelowCheckpoint`]
+    /// refusal included) and slice the image by object name once, so
+    /// each object materializes from (and frees) exactly its own share.
+    /// Every payload is *moved* into its name's slice; nothing is copied.
+    pub fn slice(
+        mut recovered: Recovered,
+        decisions: &Decisions,
+    ) -> Result<PendingImage, RecoveryError> {
+        let checkpoint_ts = recovered.checkpoint.as_ref().map_or(0, |c| c.last_ts);
+        let resolved = resolve_committed(&mut recovered, decisions)?;
+        let replayed = resolved.len();
+        let mut tail: HashMap<String, Vec<TailTxn>> = HashMap::new();
+        for c in resolved {
+            // `c.ops` is in execution (ticket) order and the resolved
+            // list in timestamp order, so each per-name slice stays in
+            // replay order.
+            for (name, bytes) in c.ops {
+                let slot = tail.entry(name).or_default();
+                match slot.last_mut() {
+                    Some((txn, _, ops)) if *txn == c.txn => ops.push(bytes),
+                    _ => slot.push((c.txn, c.ts, vec![bytes])),
+                }
+            }
+        }
+        let report = RecoveryReport { checkpoint_ts, replayed, torn_tail: recovered.torn_tail };
+        let mut snapshots: HashMap<String, Vec<u8>> = HashMap::new();
+        if let Some(ckpt) = recovered.checkpoint {
+            snapshots.extend(ckpt.objects);
+        }
+        Ok(PendingImage { report, snapshots, tail })
+    }
+
+    /// What the image recovered: checkpoint watermark, committed tail
+    /// size, torn-tail flag.
+    pub fn report(&self) -> RecoveryReport {
+        self.report
+    }
+
+    /// Every name the image still holds state for.
+    pub fn names(&self) -> HashSet<String> {
+        self.snapshots.keys().chain(self.tail.keys()).cloned().collect()
+    }
+
+    /// Install the image's state for one object: checkpoint snapshot
+    /// first, then its slice of the committed tail in replay order, each
+    /// replayed operation pinned to its logged response
+    /// ([`replay_object_ops`]). The name's share is consumed — freed —
+    /// only on success: a failed materialization (replay divergence, a
+    /// snapshot the object refuses) leaves it pending, so a retry into a
+    /// fresh instance sees the whole share again.
+    pub fn materialize(&mut self, obj: &dyn DurableObject) -> Result<(), RecoveryError> {
+        let name = obj.object_name();
+        if let Some(data) = self.snapshots.get(name) {
+            obj.restore(data, self.report.checkpoint_ts)?;
+        }
+        for (txn, ts, ops) in self.tail.get(name).into_iter().flatten() {
+            replay_object_ops(obj, *txn, *ts, ops)?;
+        }
+        self.snapshots.remove(name);
+        self.tail.remove(name);
+        Ok(())
+    }
+}
+
+/// The validity half of the 2PC resolution rule: every *decided* in-doubt
+/// transaction must land strictly above the checkpoint watermark (the
+/// snapshot excludes it, so replaying below the watermark would apply it
+/// out of timestamp order).
+fn validate_decisions(recovered: &Recovered, decisions: &Decisions) -> Result<(), RecoveryError> {
     let checkpoint_ts = recovered.checkpoint.as_ref().map_or(0, |c| c.last_ts);
     for in_doubt in &recovered.in_doubt {
         if let Some(&ts) = decisions.get(&in_doubt.txn) {
@@ -245,44 +270,19 @@ fn validate_decisions(recovered: &Recovered, decisions: &Decisions) -> Result<u6
             }
         }
     }
-    Ok(checkpoint_ts)
+    Ok(())
 }
 
 /// Merge a [`Recovered`] image's committed tail with its *decided*
 /// in-doubt transactions into one replay-ordered list — the single
-/// authority on the 2PC resolution rule, shared by
-/// [`Registry::restore_and_replay_resolved`] and `hcc-db`'s lazy
-/// materialization. In-doubt transactions with a coordinator decision
-/// replay as committed at the decided timestamp; undecided ones are
-/// dropped (no decision record means abort); a decision at or below the
-/// checkpoint watermark is refused as
-/// [`RecoveryError::DecisionBelowCheckpoint`]. The entries borrow from
-/// `recovered` — no op payload is copied.
-pub fn resolve_committed<'a>(
-    recovered: &'a Recovered,
-    decisions: &Decisions,
-) -> Result<Vec<ResolvedTxn<'a>>, RecoveryError> {
-    validate_decisions(recovered, decisions)?;
-    let mut committed: Vec<ResolvedTxn<'a>> = recovered
-        .committed
-        .iter()
-        .map(|c| ResolvedTxn { ts: c.ts, txn: c.txn, ops: &c.ops })
-        .collect();
-    for in_doubt in &recovered.in_doubt {
-        if let Some(&ts) = decisions.get(&in_doubt.txn) {
-            committed.push(ResolvedTxn { ts, txn: in_doubt.txn, ops: &in_doubt.ops });
-        }
-    }
-    committed.sort_by_key(|c| (c.ts, c.txn));
-    Ok(committed)
-}
-
-/// [`resolve_committed`] draining the image by value: the committed and
+/// authority on the 2PC resolution rule. In-doubt transactions with a
+/// coordinator decision replay as committed at the decided timestamp;
+/// undecided ones are dropped (no decision record means abort); a
+/// decision at or below the checkpoint watermark is refused as
+/// [`RecoveryError::DecisionBelowCheckpoint`]. The committed and
 /// decided-in-doubt payloads are *moved* out of `recovered` (whose
-/// checkpoint and flags are left untouched), not copied — for callers
-/// like `hcc-db`'s open path that own the image and keep the resolved
-/// tail. Same rule, same order, same refusal.
-pub fn resolve_committed_owned(
+/// checkpoint and flags are left untouched), not copied.
+fn resolve_committed(
     recovered: &mut Recovered,
     decisions: &Decisions,
 ) -> Result<Vec<CommittedTxn>, RecoveryError> {
@@ -298,10 +298,10 @@ pub fn resolve_committed_owned(
 }
 
 /// Replay one recovered transaction's operations **at a single object**
-/// — the per-object half of [`Registry::replay_txn`], used by `hcc-db`'s
-/// name-by-name materialization (which recovers each object as its
-/// typed handle is first opened, so a multi-object transaction replays
-/// at each of its objects separately, under the same protocol): every
+/// — the only place a logged payload re-enters an object, shared by
+/// [`PendingImage::materialize`] (which recovers each object separately,
+/// so a multi-object transaction replays at each of its objects under
+/// the same protocol) and the replication follower's apply path: every
 /// payload replays pinned to its logged response, then the commit event
 /// is delivered at the recovered timestamp.
 pub fn replay_object_ops(

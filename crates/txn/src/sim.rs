@@ -463,14 +463,14 @@ pub fn coordinator_decisions(dir: impl AsRef<Path>) -> Result<BTreeMap<u64, u64>
 /// decided commits replayed, and *in-doubt* transactions (ops logged but
 /// no local completion record — the crash hit between the yes-vote and
 /// the phase-2 message) resolved against the coordinator's `decisions`.
-/// Thin wrapper over [`Registry::restore_and_replay_resolved`].
+/// Thin wrapper over [`Registry::restore_and_replay`].
 pub fn recover_site(
     dir: impl AsRef<Path>,
     registry: &Registry,
     decisions: &Decisions,
 ) -> Result<RecoveryReport, RecoveryError> {
     let recovered = DurableStore::recover(dir).map_err(RecoveryError::Storage)?;
-    registry.restore_and_replay_resolved(&recovered, decisions)
+    registry.restore_and_replay(recovered, decisions)
 }
 
 #[cfg(test)]

@@ -237,7 +237,7 @@ fn mix_raw(
             }
         },
         || {
-            mgr.checkpoint_registry(&registry).expect("mid-run checkpoint").expect("store");
+            mgr.checkpoint(&registry.snapshot_refs()).expect("mid-run checkpoint").expect("store");
         },
     );
 
@@ -788,7 +788,9 @@ mod tests {
         for a in &fresh {
             registry.register(a.clone());
         }
-        registry.restore_and_replay(&recovered).expect("fuzzy image + tail replays");
+        registry
+            .restore_and_replay(recovered, &Default::default())
+            .expect("fuzzy image + tail replays");
         for (i, a) in fresh.iter().enumerate() {
             assert_eq!(
                 a.committed_balance(),

@@ -24,8 +24,9 @@
 //! * [`storage`] — the durable storage subsystem: segmented CRC-framed
 //!   write-ahead log, checkpoints, compaction policies, and group commit.
 //! * [`txn`] — logical clocks, the transaction manager, two-phase commit,
-//!   deadlock detection and the write-ahead log (the low-level escape
-//!   hatch under [`Db`]).
+//!   deadlock detection and the recovery registry — the one replay path
+//!   from a recovered log into live objects (the low-level escape hatch
+//!   under [`Db`]).
 //! * [`baselines`] — commutativity-based 2PL and read/write strict 2PL.
 //! * [`obs`] — dependency-free metric primitives behind `db.stats()`:
 //!   sharded counters/gauges, log-scale histograms, snapshots and deltas,

@@ -2,22 +2,22 @@
 //! operations in timestamp order rebuilds the committed state — which is
 //! exactly the serialization order hybrid atomicity guarantees.
 //!
-//! Two generations are covered: the original line-JSON `hcc-txn` log
-//! (compatibility shim) and the `hcc-storage` durable store (segmented
-//! CRC-framed WAL + checkpoints + compaction), including the randomized
-//! kill-point property test.
+//! Covers the `hcc-storage` durable store (segmented CRC-framed WAL +
+//! checkpoints + compaction), including the randomized kill-point
+//! property test.
 
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::fifo_queue::QueueObject;
+use hybrid_cc::db::{Db, HccError};
 use hybrid_cc::spec::Rational;
 use hybrid_cc::storage::{DurableStore, Snapshot, StorageError, StorageOptions};
 use hybrid_cc::txn::manager::TxnManager;
-use hybrid_cc::txn::wal::{committed_ops, Wal, WalRecord};
+use hybrid_cc::txn::registry::{Decisions, RecoveryError, RecoveryReport, Registry};
+use hybrid_cc::txn::sim::recover_site;
 use hybrid_cc::workload::crash::{
     crash_point_holds, recover_and_verify, run_crash_workload, CrashScenarioOptions,
 };
-use serde_json::json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
@@ -32,136 +32,9 @@ fn money(n: i64) -> Rational {
     Rational::from_int(n)
 }
 
-/// A logged banking session: operations recorded before commit, commit
-/// record carries the timestamp.
-fn run_logged_session(path: &PathBuf) -> (Rational, usize) {
-    let mgr = TxnManager::new();
-    let wal = Wal::open(path).unwrap();
-    let acct = AccountObject::hybrid("acct");
-    let queue: QueueObject<i64> = QueueObject::hybrid("q");
-
-    let run_txn = |ops: Vec<(&str, i64)>, commit: bool| {
-        let t = mgr.begin();
-        let id = t.id().0;
-        wal.append(&WalRecord::Begin { txn: id }).unwrap();
-        for (kind, v) in &ops {
-            match *kind {
-                "credit" => {
-                    acct.credit(&t, money(*v)).unwrap();
-                    wal.append(&WalRecord::Op {
-                        txn: id,
-                        object: "acct".into(),
-                        op: json!({"credit": v}),
-                    })
-                    .unwrap();
-                }
-                "debit" => {
-                    if acct.debit(&t, money(*v)).unwrap() {
-                        wal.append(&WalRecord::Op {
-                            txn: id,
-                            object: "acct".into(),
-                            op: json!({"debit": v}),
-                        })
-                        .unwrap();
-                    }
-                }
-                "enq" => {
-                    queue.enq(&t, *v).unwrap();
-                    wal.append(&WalRecord::Op {
-                        txn: id,
-                        object: "q".into(),
-                        op: json!({"enq": v}),
-                    })
-                    .unwrap();
-                }
-                other => panic!("unknown op {other}"),
-            }
-        }
-        if commit {
-            let ts = mgr.commit(t).unwrap();
-            wal.append_sync(&WalRecord::Commit { txn: id, ts: ts.0 }).unwrap();
-        } else {
-            mgr.abort(t);
-            wal.append_sync(&WalRecord::Abort { txn: id }).unwrap();
-        }
-    };
-
-    run_txn(vec![("credit", 100), ("enq", 1)], true);
-    run_txn(vec![("credit", 999)], false); // aborted: must not recover
-    run_txn(vec![("debit", 30), ("enq", 2)], true);
-    run_txn(vec![("credit", 5)], true);
-
-    (acct.committed_balance(), queue.committed_len())
-}
-
-/// Rebuild fresh objects from the log.
-fn recover(path: &PathBuf) -> (Rational, usize) {
-    let records = Wal::replay(path).unwrap();
-    let acct = AccountObject::hybrid("acct-recovered");
-    let queue: QueueObject<i64> = QueueObject::hybrid("q-recovered");
-    let mgr = TxnManager::new();
-    for (_ts, _txn, ops) in committed_ops(&records) {
-        // Each recovered transaction replays as one local transaction, in
-        // timestamp order.
-        let t = mgr.begin();
-        for (object, op) in ops {
-            match object.as_str() {
-                "acct" => {
-                    if let Some(v) = op.get("credit") {
-                        acct.credit(&t, money(v.as_i64().unwrap())).unwrap();
-                    } else if let Some(v) = op.get("debit") {
-                        assert!(acct.debit(&t, money(v.as_i64().unwrap())).unwrap());
-                    }
-                }
-                "q" => {
-                    queue.enq(&t, op["enq"].as_i64().unwrap()).unwrap();
-                }
-                other => panic!("unknown object {other}"),
-            }
-        }
-        mgr.commit(t).unwrap();
-    }
-    (acct.committed_balance(), queue.committed_len())
-}
-
-#[test]
-fn recovery_rebuilds_committed_state() {
-    let path = tmp("basic");
-    let (balance, qlen) = run_logged_session(&path);
-    assert_eq!(balance, money(75)); // 100 - 30 + 5
-    assert_eq!(qlen, 2);
-    let (rbalance, rqlen) = recover(&path);
-    assert_eq!(rbalance, balance, "recovered balance differs");
-    assert_eq!(rqlen, qlen, "recovered queue length differs");
-}
-
-#[test]
-fn recovery_survives_torn_tail() {
-    let path = tmp("torn");
-    let (balance, qlen) = run_logged_session(&path);
-    // Crash mid-append of a new record.
-    {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"Op\":{\"txn\":77,\"obj").unwrap();
-    }
-    let (rbalance, rqlen) = recover(&path);
-    assert_eq!(rbalance, balance);
-    assert_eq!(rqlen, qlen);
-}
-
-#[test]
-fn recovery_is_idempotent() {
-    let path = tmp("idem");
-    let _ = run_logged_session(&path);
-    let first = recover(&path);
-    let second = recover(&path);
-    assert_eq!(first, second);
-}
-
-// ---- The segmented durable store (hcc-storage) -------------------------
-
-/// Drive a manager-with-storage banking session; returns the live state.
+/// Drive a manager-with-storage banking session; returns the live
+/// committed state. The session ends in a "crash" with one transaction
+/// whose op record reached the log but whose commit record never did.
 ///
 /// Note what is *absent*: no logging call anywhere. The objects are built
 /// with the manager's options, so every mutating operation serializes its
@@ -206,6 +79,9 @@ fn run_durable_session(dir: &PathBuf, opts: StorageOptions) -> (Rational, usize)
     run(vec![("credit", 999)], false); // aborted: must not recover
     run(vec![("debit", 30), ("enq", 2)], true);
     run(vec![("credit", 5)], true);
+    // Crash between phases: the credit is logged, its commit never is.
+    let t = mgr.begin();
+    acct.credit(&t, money(1_000)).unwrap();
     (acct.committed_balance(), queue.committed_len())
 }
 
@@ -220,23 +96,86 @@ fn durable_store_recovery_rebuilds_committed_state() {
     assert_eq!(state.queue.len(), qlen);
 }
 
+/// Crash mid-append: write `bytes` at the tail of the last segment of the
+/// (single) stripe.
+fn append_to_final_segment(dir: &Path, bytes: &[u8]) {
+    use std::io::Write;
+    let stripe = &hybrid_cc::storage::wal::stripe_dirs(dir).unwrap()[0].1;
+    let segments = hybrid_cc::storage::wal::list_segments(stripe).unwrap();
+    let last = &segments.last().unwrap().1;
+    std::fs::OpenOptions::new().append(true).open(last).unwrap().write_all(bytes).unwrap();
+}
+
 #[test]
 fn durable_store_survives_torn_final_record() {
     let dir = tmp("store-torn");
     let (balance, qlen) = run_durable_session(&dir, StorageOptions::default());
-    // Crash mid-append: write half a frame at the tail of the last
-    // segment of the (single) stripe.
-    let stripe = &hybrid_cc::storage::wal::stripe_dirs(&dir).unwrap()[0].1;
-    let segments = hybrid_cc::storage::wal::list_segments(stripe).unwrap();
-    let last = &segments.last().unwrap().1;
-    {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new().append(true).open(last).unwrap();
-        f.write_all(&[0x20, 0x00, 0x00, 0x00, 0xAB]).unwrap(); // torn header
-    }
+    append_to_final_segment(&dir, &[0x20, 0x00, 0x00, 0x00, 0xAB]); // torn header
     let state = recover_and_verify(&dir).unwrap();
     assert_eq!(state.balance, balance);
     assert_eq!(state.queue.len(), qlen);
+}
+
+// ---- The same session recovered through `Db::open` ---------------------
+
+/// Open the session's log as a `Db` and read back the committed state.
+fn db_state(dir: &PathBuf) -> (Rational, usize, RecoveryReport) {
+    let db = Db::open(dir).unwrap();
+    let balance = db.object::<AccountObject>("acct").unwrap().committed_balance();
+    let qlen = db.object::<QueueObject<i64>>("q").unwrap().committed_len();
+    (balance, qlen, db.recovery_report())
+}
+
+#[test]
+fn recovery_rebuilds_committed_state() {
+    let dir = tmp("db-basic");
+    let (balance, qlen) = run_durable_session(&dir, StorageOptions::default());
+    assert_eq!(balance, money(75)); // 100 - 30 + 5
+    assert_eq!(qlen, 2);
+    let (rbalance, rqlen, report) = db_state(&dir);
+    assert_eq!(rbalance, balance, "recovered balance differs");
+    assert_eq!(rqlen, qlen, "recovered queue length differs");
+    assert_eq!(report.replayed, 3, "the three committed transactions replay");
+    assert!(!report.torn_tail);
+}
+
+#[test]
+fn recovery_survives_torn_tail() {
+    let dir = tmp("db-torn");
+    let (balance, qlen) = run_durable_session(&dir, StorageOptions::default());
+    // A complete `len|crc|seq` header promising a 64-byte payload, of
+    // which only 10 bytes reached the segment.
+    let torn = [&64u32.to_le_bytes()[..], &[0xAB; 4 + 8 + 10]].concat();
+    append_to_final_segment(&dir, &torn);
+    assert!(DurableStore::recover(&dir).unwrap().torn_tail, "the read-only scan sees the tear");
+    let (rbalance, rqlen, _) = db_state(&dir);
+    assert_eq!(rbalance, balance);
+    assert_eq!(rqlen, qlen);
+    // Opening repaired the stripe: the tear is gone from the segment.
+    assert!(!DurableStore::recover(&dir).unwrap().torn_tail, "open truncates the tear");
+}
+
+#[test]
+fn recovery_is_idempotent() {
+    let dir = tmp("db-idem");
+    let _ = run_durable_session(&dir, StorageOptions::default());
+    let first = db_state(&dir);
+    let second = db_state(&dir);
+    assert_eq!(first, second, "recovering the same log twice rebuilds the same state");
+    let state = recover_and_verify(&dir).unwrap();
+    assert_eq!((state.balance, state.queue.len()), (first.0, first.1));
+}
+
+#[test]
+fn uncommitted_tail_transaction_is_dropped() {
+    let dir = tmp("db-uncommitted");
+    // The session ends with a credit of 1000 whose op record is logged
+    // but whose commit record never is: the crash hit between phases.
+    let (balance, _) = run_durable_session(&dir, StorageOptions::default());
+    let raw = DurableStore::recover(&dir).unwrap();
+    assert_eq!(raw.in_doubt.len(), 1, "the uncommitted credit reached the log");
+    let (rbalance, _, _) = db_state(&dir);
+    assert_eq!(rbalance, balance, "uncommitted operations must not be replayed");
 }
 
 #[test]
@@ -253,15 +192,29 @@ fn durable_store_reports_commit_with_missing_ops_as_incomplete() {
         // disappear.
         let acct = AccountObject::hybrid("acct");
         store.log_begin(1).unwrap();
-        store.log_op(1, "acct", br#"{"op":"credit","v":{"den":1,"num":7}}"#).unwrap();
+        store
+            .publish_op(
+                store.reserve_ticket(),
+                1,
+                "acct",
+                br#"{"op":"credit","v":{"den":1,"num":7}}"#,
+            )
+            .unwrap();
         store.log_commit(1, 1).unwrap();
         store.checkpoint(&[("acct", &acct)]).unwrap();
         // Txn 2's Begin/Op records land in the post-checkpoint segment...
         store.log_begin(2).unwrap();
-        store.log_op(2, "acct", br#"{"op":"credit","v":{"den":1,"num":9}}"#).unwrap();
+        store
+            .publish_op(
+                store.reserve_ticket(),
+                2,
+                "acct",
+                br#"{"op":"credit","v":{"den":1,"num":9}}"#,
+            )
+            .unwrap();
         for filler in 3..20 {
             store.log_begin(filler).unwrap();
-            store.log_op(filler, "acct", &[0u8; 64]).unwrap();
+            store.publish_op(store.reserve_ticket(), filler, "acct", &[0u8; 64]).unwrap();
             store.log_abort(filler).unwrap();
         }
         // ...and its commit record in a later one.
@@ -299,7 +252,7 @@ fn durable_store_refuses_ops_whose_registry_binding_is_lost() {
         // the first op; later segments hold ops referencing its id.
         for txn in 1..20 {
             store.log_begin(txn).unwrap();
-            store.log_op(txn, "acct", &[0u8; 64]).unwrap();
+            store.publish_op(store.reserve_ticket(), txn, "acct", &[0u8; 64]).unwrap();
             store.log_commit(txn, txn).unwrap();
         }
     }
@@ -421,22 +374,95 @@ fn snapshot_restore_is_what_checkpoint_recovery_uses() {
     assert_eq!(fresh.committed_balance(), money(123));
 }
 
+// ---- Recovery refusals, through both entry points ----------------------
+//
+// `sim::recover_site` (the recovery `Registry`) and `Db::open` share one
+// rule: the same slicing, the same 2PC resolution, the same refusals.
+
+const CREDIT_5: &[u8] = br#"{"op":"credit","v":{"den":1,"num":5}}"#;
+const CREDIT_10: &[u8] = br#"{"op":"credit","v":{"den":1,"num":10}}"#;
+
+/// A 2PC participant's log: txn 1 voted yes (its credit of 5 is logged)
+/// and crashed before phase 2; txn 2 (credit of 10) committed locally at
+/// ts 5, and a checkpoint covers it (watermark 5).
+fn in_doubt_below_checkpoint_log(dir: &PathBuf) {
+    let store = DurableStore::open(dir, StorageOptions::default()).unwrap();
+    store.log_begin(1).unwrap();
+    store.publish_op(store.reserve_ticket(), 1, "acct", CREDIT_5).unwrap();
+    store.log_begin(2).unwrap();
+    store.publish_op(store.reserve_ticket(), 2, "acct", CREDIT_10).unwrap();
+    store.log_commit(2, 5).unwrap();
+    let acct = AccountObject::hybrid("acct");
+    acct.restore(&serde_json::to_vec(&money(10)).unwrap(), 5).unwrap();
+    assert_eq!(store.checkpoint(&[("acct", &acct)]).unwrap().last_ts, 5);
+}
+
+fn fresh_site_registry() -> (Arc<AccountObject>, Registry) {
+    let acct = Arc::new(AccountObject::hybrid("acct"));
+    let mut registry = Registry::new();
+    registry.register(acct.clone());
+    (acct, registry)
+}
+
 #[test]
-fn uncommitted_tail_transaction_is_dropped() {
-    let path = tmp("uncommitted");
-    let (balance, _) = run_logged_session(&path);
-    // A transaction that logged ops but crashed before its commit record.
-    {
-        let wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Begin { txn: 500 }).unwrap();
-        wal.append(&WalRecord::Op {
-            txn: 500,
-            object: "acct".into(),
-            op: json!({"credit": 1_000}),
-        })
-        .unwrap();
-        // no Commit record: the crash hit between phases.
+fn decision_below_the_checkpoint_is_refused_by_both_entry_points() {
+    let dir = tmp("refuse-below-ckpt");
+    in_doubt_below_checkpoint_log(&dir);
+    let below: Decisions = [(1, 3)].into();
+    let refused = |err: &RecoveryError| {
+        matches!(err, RecoveryError::DecisionBelowCheckpoint { txn: 1, ts: 3, checkpoint_ts: 5 })
+    };
+
+    let (_, registry) = fresh_site_registry();
+    let err = recover_site(&dir, &registry, &below).unwrap_err();
+    assert!(refused(&err), "recover_site: expected DecisionBelowCheckpoint, got {err:?}");
+    match Db::builder().decisions(below).open(&dir) {
+        Err(HccError::Recovery(err)) if refused(&err) => {}
+        Err(other) => panic!("Db::open: expected DecisionBelowCheckpoint, got {other:?}"),
+        Ok(_) => panic!("Db::open accepted a decision below the checkpoint"),
     }
-    let (rbalance, _) = recover(&path);
-    assert_eq!(rbalance, balance, "uncommitted operations must not be replayed");
+
+    // The same log with the decision above the watermark recovers
+    // through both, replaying the in-doubt credit over the checkpoint.
+    let above: Decisions = [(1, 6)].into();
+    let (acct, registry) = fresh_site_registry();
+    let report = recover_site(&dir, &registry, &above).unwrap();
+    assert_eq!((report.checkpoint_ts, report.replayed), (5, 1));
+    assert_eq!(acct.committed_balance(), money(15));
+    let db = Db::builder().decisions(above).open(&dir).unwrap();
+    assert_eq!(db.recovery_report(), report);
+    assert_eq!(db.object::<AccountObject>("acct").unwrap().committed_balance(), money(15));
+}
+
+#[test]
+fn logged_name_nobody_opens_is_refused_by_the_registry_and_held_by_db() {
+    let dir = tmp("refuse-unknown");
+    {
+        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap();
+        store.log_begin(1).unwrap();
+        store.publish_op(store.reserve_ticket(), 1, "acct", CREDIT_5).unwrap();
+        store.publish_op(store.reserve_ticket(), 1, "ghost", CREDIT_10).unwrap();
+        store.log_commit(1, 1).unwrap();
+    }
+
+    // The registry materializes what it knows, then refuses the rest.
+    let (acct, registry) = fresh_site_registry();
+    match recover_site(&dir, &registry, &Decisions::new()) {
+        Err(RecoveryError::UnknownObject { object }) => assert_eq!(object, "ghost"),
+        other => panic!("recover_site: expected UnknownObject, got {other:?}"),
+    }
+    assert_eq!(acct.committed_balance(), money(5));
+
+    // `Db` opens lazily, so the same leftover name is not an error at
+    // open: it stays pending, and a checkpoint (which would claim to
+    // cover its history) is refused until it is opened.
+    let db = Db::builder().decisions(Decisions::new()).open(&dir).unwrap();
+    assert_eq!(db.object::<AccountObject>("acct").unwrap().committed_balance(), money(5));
+    assert_eq!(db.unopened_objects(), vec!["ghost".to_string()]);
+    match db.checkpoint() {
+        Err(HccError::Storage(StorageError::UnabsorbedHistory { last_ts: 1 })) => {}
+        other => panic!("expected UnabsorbedHistory, got {other:?}"),
+    }
+    db.object::<AccountObject>("ghost").unwrap();
+    assert!(db.checkpoint().unwrap().is_some(), "every logged name absorbed");
 }

@@ -1,27 +1,22 @@
 //! The self-logging discipline, end to end:
 //!
-//! * a **differential** proof that self-logging and the legacy manual
-//!   `log_op` discipline produce byte-identical recovery state on the
-//!   randomized bank/queue crash workloads;
 //! * forget-to-log is **unrepresentable**: a session that never mentions
 //!   logging still recovers every acknowledged commit;
-//! * the recover-then-continue lifecycle through `TxnManager::recover`
-//!   and the recovery `Registry` (including the checkpoint-absorption
-//!   guard clearing).
+//! * the recover-then-continue lifecycle through `Db::open` (including
+//!   the checkpoint-absorption guard clearing);
+//! * replay pins every logged response, through the recovery
+//!   `Registry`.
 //!
 //! `HCC_DURABILITY` (none / buffered / fsync) overrides the durability
 //! level — CI runs this suite as a matrix over all three.
 
-use hybrid_cc::adts::account::{AccountHybrid, AccountObject};
-use hybrid_cc::adts::fifo_queue::{QueueObject, QueueTableII};
+use hybrid_cc::adts::account::AccountObject;
+use hybrid_cc::adts::fifo_queue::QueueObject;
+use hybrid_cc::db::{Db, HccError};
 use hybrid_cc::spec::Rational;
 use hybrid_cc::storage::StorageOptions;
-use hybrid_cc::txn::manager::TxnManager;
-use hybrid_cc::txn::registry::Registry;
-use hybrid_cc::workload::crash::{
-    crash_point_holds, recover_and_verify, run_crash_workload, truncate_tail, CrashScenarioOptions,
-    LogDiscipline,
-};
+use hybrid_cc::txn::registry::{Decisions, Registry};
+use hybrid_cc::workload::crash::{crash_point_holds, CrashScenarioOptions};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -34,50 +29,6 @@ fn tmp(name: &str) -> PathBuf {
 
 fn money(n: i64) -> Rational {
     Rational::from_int(n)
-}
-
-/// Differential: the same deterministic workload run once under
-/// self-logging and once under the manual discipline must leave logs that
-/// recover to **byte-identical** state — same balances, same queue, same
-/// replayed timestamps, same serialized snapshots — at every crash point.
-#[test]
-fn self_logging_and_manual_log_op_recover_byte_identically() {
-    for seed in [3u64, 99, 0xBEEF] {
-        for cut in [0u64, 150, 1024] {
-            let base =
-                CrashScenarioOptions { seed, txns: 80, ..Default::default() }.env_overrides();
-            let dir_self = tmp(&format!("diff-self-{seed}-{cut}"));
-            let dir_manual = tmp(&format!("diff-manual-{seed}-{cut}"));
-
-            let w_self = run_crash_workload(
-                &dir_self,
-                CrashScenarioOptions { discipline: LogDiscipline::SelfLogging, ..base },
-            )
-            .unwrap();
-            let w_manual = run_crash_workload(
-                &dir_manual,
-                CrashScenarioOptions { discipline: LogDiscipline::Manual, ..base },
-            )
-            .unwrap();
-            assert_eq!(
-                w_self.oracle, w_manual.oracle,
-                "same seed, same committed effects (seed {seed})"
-            );
-
-            truncate_tail(&dir_self, cut).unwrap();
-            truncate_tail(&dir_manual, cut).unwrap();
-            let s_self = recover_and_verify(&dir_self).unwrap();
-            let s_manual = recover_and_verify(&dir_manual).unwrap();
-            assert_eq!(
-                s_self, s_manual,
-                "recovery state diverged between disciplines (seed {seed}, cut {cut})"
-            );
-            assert_eq!(
-                s_self.snapshots, s_manual.snapshots,
-                "snapshot bytes diverged (seed {seed}, cut {cut})"
-            );
-        }
-    }
 }
 
 /// Forget-to-log is unrepresentable: this session performs transactional
@@ -96,72 +47,69 @@ fn mutations_with_no_explicit_logging_survive_a_random_kill_point() {
             ..Default::default()
         }
         .env_overrides();
-        assert_eq!(opts.discipline, LogDiscipline::SelfLogging);
         let (committed, survived) = crash_point_holds(&dir, opts, cut).unwrap();
         assert!(survived <= committed);
     }
 }
 
 /// The recover-then-continue lifecycle: a crashed session's successor
-/// opens the manager, registers fresh objects, calls
-/// `TxnManager::recover`, and keeps going — new commits serialize above
+/// calls `Db::open`, asks for its typed handles (which arrive holding
+/// the recovered state), and keeps going — new commits serialize above
 /// the recovered history and checkpointing works again (the absorption
-/// guard was cleared by recovery).
+/// guard cleared once every logged name was opened).
 #[test]
 fn manager_recovers_registry_and_resumes() {
     let dir = tmp("resume");
     let pre_crash_balance;
     {
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let acct = AccountObject::with("acct", Arc::new(AccountHybrid), mgr.object_options());
-        let queue: QueueObject<i64> =
-            QueueObject::with("q", Arc::new(QueueTableII), mgr.object_options());
+        let db = Db::open(&dir).unwrap();
+        let acct = db.object::<AccountObject>("acct").unwrap();
+        let queue = db.object::<QueueObject<i64>>("q").unwrap();
         for i in 1..=5 {
-            let t = mgr.begin();
-            acct.credit(&t, money(i * 10)).unwrap();
-            queue.enq(&t, i).unwrap();
-            mgr.commit(t).unwrap();
+            db.transact(|tx| {
+                acct.credit(tx, money(i * 10))?;
+                queue.enq(tx, i)?;
+                Ok(())
+            })
+            .unwrap();
         }
-        let t = mgr.begin();
-        acct.credit(&t, money(1_000_000)).unwrap();
-        mgr.abort(t); // aborted: must not resurface after recovery
+        let aborted = db.transact(|tx| {
+            acct.credit(tx, money(1_000_000))?;
+            Err::<(), _>(HccError::rollback("must not resurface after recovery"))
+        });
+        assert!(matches!(aborted, Err(HccError::Rollback { .. })));
         pre_crash_balance = acct.committed_balance();
         // Process "dies" here: no checkpoint, no clean handoff.
     }
     {
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let acct =
-            Arc::new(AccountObject::with("acct", Arc::new(AccountHybrid), mgr.object_options()));
-        let queue: Arc<QueueObject<i64>> =
-            Arc::new(QueueObject::with("q", Arc::new(QueueTableII), mgr.object_options()));
-        let mut registry = Registry::new();
-        registry.register(acct.clone());
-        registry.register(queue.clone());
-        let report = mgr.recover(&registry).unwrap();
-        assert_eq!(report.replayed, 5);
+        let db = Db::open(&dir).unwrap();
+        let acct = db.object::<AccountObject>("acct").unwrap();
+        assert_eq!(db.unopened_objects(), vec!["q".to_string()]);
+        assert!(db.checkpoint().is_err(), "checkpoint refused while \"q\" is unabsorbed");
+        let queue = db.object::<QueueObject<i64>>("q").unwrap();
+        assert_eq!(db.recovery_report().replayed, 5);
         assert_eq!(acct.committed_balance(), pre_crash_balance);
         assert_eq!(queue.committed_len(), 5);
 
         // Continue: new commits stack on top and checkpointing is allowed
-        // again (recovery attested absorption).
-        let t = mgr.begin();
-        acct.credit(&t, money(7)).unwrap();
-        let deq = queue.deq(&t).unwrap();
+        // again (every logged name was absorbed).
+        let deq = db
+            .transact(|tx| {
+                acct.credit(tx, money(7))?;
+                Ok(queue.deq(tx)?)
+            })
+            .unwrap();
         assert_eq!(deq, 1, "FIFO head survived recovery");
-        mgr.commit(t).unwrap();
-        let ckpt = mgr.checkpoint_registry(&registry).unwrap().expect("store attached");
+        let ckpt = db.checkpoint().unwrap().expect("store attached");
         assert!(ckpt.last_ts > 0);
         assert_eq!(acct.committed_balance(), pre_crash_balance + money(7));
     }
     // Third generation recovers from the checkpoint alone.
     {
-        let acct = Arc::new(AccountObject::hybrid("acct"));
-        let queue: Arc<QueueObject<i64>> = Arc::new(QueueObject::hybrid("q"));
-        let mut registry = Registry::new();
-        registry.register(acct.clone());
-        registry.register(queue.clone());
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let report = mgr.recover(&registry).unwrap();
+        let db = Db::open(&dir).unwrap();
+        let acct = db.object::<AccountObject>("acct").unwrap();
+        let queue = db.object::<QueueObject<i64>>("q").unwrap();
+        let report = db.recovery_report();
         assert!(report.checkpoint_ts > 0, "checkpoint restored");
         assert_eq!(report.replayed, 0, "nothing above the checkpoint");
         assert_eq!(acct.committed_balance(), pre_crash_balance + money(7));
@@ -183,14 +131,15 @@ fn divergent_replay_is_refused() {
         // Hand-craft a log claiming a successful debit from an empty
         // account (no prior credit): replay must refuse to "succeed" it.
         store.log_begin(1).unwrap();
-        store.log_op(1, "acct", br#"{"op":"debit","v":{"den":1,"num":30},"ok":true}"#).unwrap();
+        let debit = br#"{"op":"debit","v":{"den":1,"num":30},"ok":true}"#;
+        store.publish_op(store.reserve_ticket(), 1, "acct", debit).unwrap();
         store.log_commit(1, 1).unwrap();
     }
     let recovered = DurableStore::recover(&dir).unwrap();
     let acct = Arc::new(AccountObject::hybrid("acct"));
     let mut registry = Registry::new();
     registry.register(acct.clone());
-    let err = registry.restore_and_replay(&recovered).unwrap_err();
+    let err = registry.restore_and_replay(recovered, &Decisions::new()).unwrap_err();
     assert!(
         matches!(err, hybrid_cc::txn::registry::RecoveryError::Replay { .. }),
         "expected replay divergence, got {err:?}"
