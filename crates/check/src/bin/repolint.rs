@@ -9,10 +9,16 @@
 //!    a stray direct append bypasses striping, durability policy, and
 //!    recovery accounting. Test files may hand-craft WAL records (torn
 //!    tails, divergent logs); there are no other exemptions.
-//! 2. **Snapshot discipline**: in `crates/adts`, every `impl Snapshot
-//!    for` block overrides `snapshot_at` — the default would serialize
-//!    the latest state instead of the checkpoint watermark's, silently
-//!    corrupting checkpoint/recovery consistency.
+//! 2. **One handle type**: the checkpoint, recovery, `Db` and read-path
+//!    glue (`Snapshot`, `DurableObject`, `DbObject`, `ReadObject`) is
+//!    written once, for `hcc-adts`'s generic `Object<A>`; a data type
+//!    contributes only its `ObjectAdt` impl. Each of the four traits has
+//!    exactly one impl outside test code (test files, and a file's
+//!    trailing `#[cfg(test)] mod`). A second impl is a per-type copy of
+//!    the glue — a second checkpoint-restore path that can drift from
+//!    the first; none at all means the check no longer sees the impl.
+//!    Impl headers are read across line breaks, path-qualified trait
+//!    names included.
 //! 3. **Read-path lock freedom**: the wait-free read path
 //!    (`crates/db/src/read.rs`, `crates/core/src/runtime/horizon.rs`)
 //!    must exist and must never call into the transactional execution
@@ -61,6 +67,49 @@ fn rust_files(root: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The traits whose impls ratchet 2 counts.
+const HANDLE_TRAITS: [&str; 4] = ["Snapshot", "DurableObject", "DbObject", "ReadObject"];
+
+/// The part of a source file that is not test code: everything before a
+/// trailing `#[cfg(test)]` module.
+fn non_test_lines(text: &str) -> Vec<&str> {
+    let lines: Vec<&str> = text.lines().collect();
+    let test_mod = lines
+        .windows(2)
+        .position(|w| w[0].trim() == "#[cfg(test)]" && w[1].trim_start().starts_with("mod "));
+    lines[..test_mod.unwrap_or(lines.len())].to_vec()
+}
+
+/// Every `impl` header in `lines` (1-based line, header text up to the
+/// opening brace, whitespace collapsed).
+fn impl_headers(lines: &[&str]) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let t = line.trim_start();
+        if !(t.starts_with("impl ") || t.starts_with("impl<")) {
+            continue;
+        }
+        let mut header = String::new();
+        for l in &lines[i..] {
+            header.push(' ');
+            header.push_str(l.split('{').next().unwrap_or(""));
+            if l.contains('{') || l.contains(';') {
+                break;
+            }
+        }
+        out.push((i + 1, header.split_whitespace().collect::<Vec<_>>().join(" ")));
+    }
+    out
+}
+
+/// Does this impl header implement `trait_name` (bare or path-qualified)?
+fn implements(header: &str, trait_name: &str) -> bool {
+    let needle = format!("{trait_name} for ");
+    header
+        .match_indices(&needle)
+        .any(|(at, _)| matches!(header[..at].chars().last(), Some(' ' | ':' | '>')))
+}
+
 fn main() {
     let root = std::env::current_dir().expect("cwd");
     if !root.join("Cargo.toml").exists() {
@@ -92,6 +141,7 @@ fn main() {
     let is_test = |rel: &str| rel.starts_with("tests/") || rel.contains("/tests/");
 
     let mut findings = Vec::new();
+    let mut handle_impls: Vec<(&str, String)> = Vec::new();
     for path in &files {
         let Ok(text) = std::fs::read_to_string(path) else { continue };
         let rel = path.strip_prefix(&root).unwrap_or(path);
@@ -155,16 +205,30 @@ fn main() {
             }
         }
 
-        if rel_s.starts_with("crates/adts/") {
-            let impls = text.matches("impl Snapshot for").count();
-            let overrides = text.matches("fn snapshot_at").count();
-            if overrides < impls {
-                findings.push(format!(
-                    "{rel_s}: {impls} `impl Snapshot for` but only {overrides} \
-                     `fn snapshot_at` override(s) — a default snapshot_at serializes \
-                     the latest state, not the watermark's"
-                ));
+        if !is_test(&rel_s) {
+            for (line, header) in impl_headers(&non_test_lines(&text)) {
+                for trait_name in HANDLE_TRAITS {
+                    if implements(&header, trait_name) {
+                        handle_impls.push((trait_name, format!("{rel_s}:{line}")));
+                    }
+                }
             }
+        }
+    }
+
+    for trait_name in HANDLE_TRAITS {
+        let sites: Vec<&str> = handle_impls
+            .iter()
+            .filter(|(t, _)| *t == trait_name)
+            .map(|(_, site)| site.as_str())
+            .collect();
+        if sites.len() != 1 {
+            findings.push(format!(
+                "{} non-test impl(s) of `{trait_name}` [{}] — exactly one is allowed, the \
+                 generic one for hcc-adts's `Object<A>`; a type states its `ObjectAdt` instead",
+                sites.len(),
+                sites.join(", ")
+            ));
         }
     }
 

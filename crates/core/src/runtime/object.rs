@@ -14,9 +14,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The reserved transaction id [`TxObject::pin_horizon`] parks its bound
-/// under. Real transaction ids are allocated from 1 upward and the
-/// snapshot bootstrap id is `u64::MAX - 1`; this cannot collide with
-/// either.
+/// under. Real transaction ids are allocated from 1 upward; this cannot
+/// collide with them.
 const HORIZON_PIN: TxnId = TxnId(u64::MAX - 2);
 
 /// Why a blocking execution gave up.
@@ -345,7 +344,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             }
             txn.register(self.clone() as Arc<dyn TxParticipant>);
             self.executed.fetch_add(1, Ordering::Relaxed);
-            // Replay executions (redo replay, checkpoint-restore bootstrap)
+            // Replay executions (recovery and replication redo replay)
             // re-install history the lock manager already admitted in a
             // previous incarnation; counting them again would make a
             // restored store's grant totals drift from the live run's.
@@ -691,13 +690,11 @@ impl<A: RuntimeAdt> TxObject<A> {
     }
 
     /// Install a recovered base version into this **fresh** object as
-    /// the committed state at timestamp `ts` — the generic
-    /// checkpoint-restore path: where a hand-written wrapper replays
-    /// synthetic bootstrap operations (a credit of the whole balance, an
-    /// enqueue per item), a declaratively defined type installs its
-    /// decoded state directly. The object's clock advances to `ts`, so
-    /// tail replay (at strictly greater timestamps) observes a
-    /// well-formed history, exactly as after a bootstrap commit.
+    /// the committed state at timestamp `ts` — the one checkpoint-restore
+    /// path: the decoded image becomes the compacted version directly, so
+    /// restoring executes no operation and takes no lock, at a cost linear
+    /// in the image. The object's clock advances to `ts`, so tail replay
+    /// (at strictly greater timestamps) observes a well-formed history.
     ///
     /// Refused with [`NotFresh`] when the object already has history or
     /// active transactions — installing over existing state would

@@ -20,16 +20,17 @@
 //!   looking the pair up under its key condition (symmetric closure
 //!   applied at lookup, as the paper constructs conflict relations from
 //!   dependency relations);
-//! * `hcc-adts::define::SpecObject` adds the durable half (snapshots,
-//!   recovery replay), and `hcc-db` hands out typed handles for it, so a
-//!   user-defined type is durable, recoverable, and 2PC-committable with
-//!   **no** `RuntimeAdt`, `LockSpec`, `Snapshot`, or `DbObject` impl
-//!   written by hand.
+//! * `hcc-adts`'s `SpecObject<D>` runs the adapter under the same
+//!   generic handle (`Object<SpecAdt<D>>`) as every built-in type, which
+//!   adds the durable half (snapshots, recovery replay), and `hcc-db`
+//!   hands out typed handles for it, so a user-defined type is durable,
+//!   recoverable, and 2PC-committable with **no** `RuntimeAdt`,
+//!   `LockSpec`, `Snapshot`, or `DbObject` impl written by hand.
 //!
 //! The escape hatch stays open: a type that outgrows the generic
 //! machinery implements [`RuntimeAdt`]/[`LockSpec`] directly (every
 //! built-in ADT in `hcc-adts` still does, as the tuned twin the
-//! differential tests compare against).
+//! differential tests compare against) and runs under the same handle.
 
 use super::adt::{LockSpec, RedoDecodeError, RuntimeAdt};
 use hcc_relations::derive::{cached_conflict_atoms, DeriveSpec};

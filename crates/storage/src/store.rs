@@ -812,10 +812,13 @@ mod tests {
         }
     }
 
+    // The tests run quiesced: every watermark sees the latest value.
     impl Snapshot for Cell {
-        fn snapshot(&self) -> Vec<u8> {
+        fn snapshot_at(&self, _watermark: u64) -> Vec<u8> {
             self.get().to_le_bytes().to_vec()
         }
+        fn pin_horizon(&self, _watermark: u64) {}
+        fn unpin_horizon(&self) {}
         fn restore(&self, bytes: &[u8], _ts: u64) -> Result<(), SnapshotError> {
             let arr: [u8; 8] =
                 bytes.try_into().map_err(|_| SnapshotError::new("bad cell snapshot"))?;

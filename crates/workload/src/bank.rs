@@ -228,17 +228,32 @@ mod tests {
         assert_eq!(m.committed, 100);
     }
 
+    /// One deterministic interleaving on one account: `t1` credits,
+    /// then `t2` posts interest while `t1` is still active, as a single
+    /// non-blocking attempt. Returns whether the post was granted, and
+    /// the lock grant and refusal totals.
+    fn credit_then_concurrent_post(scheme: Scheme) -> (bool, u64, u64) {
+        use hcc_adts::account::AccountInv;
+        use hcc_core::runtime::TryExecOutcome;
+
+        let mgr = TxnManager::new();
+        let acct = make_account(scheme, "acct", mgr.object_options());
+        let (t1, t2) = (mgr.begin(), mgr.begin());
+        acct.credit(&t1, Rational::from_int(5)).unwrap();
+        let post = acct.inner().try_execute(&t2, &AccountInv::Post(Rational::ZERO)).unwrap();
+        let granted = matches!(post, TryExecOutcome::Executed(_));
+        mgr.commit(t1).unwrap();
+        mgr.commit(t2).unwrap();
+        let snap = mgr.metrics().snapshot();
+        (granted, snap.sum_prefix("lock.grants."), snap.sum_prefix("lock.refusals."))
+    }
+
     #[test]
     fn hybrid_beats_rw_on_conflicts() {
-        let mix = Mix { credit_pct: 50, debit_pct: 40, post_pct: 10, overdraft_pct: 0 };
-        let hybrid = account_mix(Scheme::Hybrid, 4, 100, 3, mix);
-        let rw = account_mix(Scheme::Rw2pl, 4, 100, 3, mix);
-        assert!(
-            hybrid.conflicts < rw.conflicts,
-            "hybrid {} < rw {}",
-            hybrid.conflicts,
-            rw.conflicts
-        );
+        // Table V: Credit and Post do not conflict, so hybrid grants the
+        // post beside the active credit; rw-2pl sees two writes.
+        assert_eq!(credit_then_concurrent_post(Scheme::Hybrid), (true, 2, 0));
+        assert_eq!(credit_then_concurrent_post(Scheme::Rw2pl), (false, 1, 1));
     }
 
     #[test]

@@ -324,16 +324,15 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredState, HccError> {
     let mut tail_ts = Vec::new();
 
     // Rebuild the formal history for the verifier (account = object 0,
-    // queue = 1). The checkpoint enters the history the same way
-    // `Snapshot::restore` installs it: as one bootstrap transaction
-    // committed at the checkpoint timestamp — without it, a tail `deq` of
-    // an item enqueued before the checkpoint would be illegal from the
-    // initial state. The bootstrap state is decoded straight from the
-    // checkpoint image (the live objects already hold checkpoint *plus*
-    // tail).
+    // queue = 1). The checkpoint image enters the history as one
+    // bootstrap transaction committed at the checkpoint timestamp that
+    // recreates the image's state — without it, a tail `deq` of an item
+    // enqueued before the checkpoint would be illegal from the initial
+    // state. The bootstrap state is decoded straight from the checkpoint
+    // image (the live objects already hold checkpoint *plus* tail).
     let mut hb = HistoryBuilder::new();
     if let Some(ckpt) = &recovered.checkpoint {
-        let boot = hcc_adts::snapshot::BOOTSTRAP_TXN;
+        let boot = crate::BOOTSTRAP_TXN;
         let mut touched_queue = false;
         for (name, bytes) in &ckpt.objects {
             match name.as_str() {

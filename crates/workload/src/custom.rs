@@ -352,7 +352,7 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredBoards, HccError> {
     // bootstrap transaction of winning submits (that is also how the
     // spec state reaches the snapshot's table), then the committed tail
     // decodes through the *definition's own codec* into spec operations.
-    let boot = hcc_adts::snapshot::BOOTSTRAP_TXN;
+    let boot = crate::BOOTSTRAP_TXN;
     let mut hb = HistoryBuilder::new();
     if let Some(ckpt) = &recovered.checkpoint {
         let mut boot_touched = [false; BOARDS.len()];
@@ -482,7 +482,7 @@ mod tests {
         let _warm = SpecLock::<LeaderboardDef>::from_def();
         let before = hcc_adts::define::derivations_performed();
         for i in 0..4 {
-            let _ = Leaderboard::new(format!("lb-{i}"));
+            let _ = Leaderboard::hybrid(format!("lb-{i}"));
         }
         assert_eq!(
             hcc_adts::define::derivations_performed(),

@@ -41,3 +41,10 @@ pub mod socket;
 
 pub use metrics::Metrics;
 pub use scheme::Scheme;
+
+/// The transaction id the recovery verifiers ([`crash`], [`custom`]) file
+/// a checkpoint image under when they rebuild the formal history: the
+/// image's state enters as one synthetic transaction committed at the
+/// checkpoint timestamp. Real transaction ids are allocated from 1
+/// upward; this cannot collide.
+pub(crate) const BOOTSTRAP_TXN: u64 = u64::MAX - 1;

@@ -16,13 +16,16 @@
 
 use hybrid_cc::adts::counter::{CounterDef, CounterHybrid, CounterInv, CounterObject, CounterRes};
 use hybrid_cc::adts::set::{SetDef, SetHybrid, SetInv, SetObject};
-use hybrid_cc::adts::SpecObject;
-use hybrid_cc::core::runtime::{LockSpec, SpecLock};
+use hybrid_cc::adts::{AccountObject, QueueObject, SpecObject};
+use hybrid_cc::core::runtime::{LockSpec, SpecLock, TxParticipant};
+use hybrid_cc::core::{ExecError, TxnHandle};
+use hybrid_cc::spec::{Rational, TxnId};
 use hybrid_cc::storage::CompactionPolicy;
-use hybrid_cc::Db;
+use hybrid_cc::{Db, HccError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -211,41 +214,88 @@ fn ported_logs_recover_interchangeably_and_after_a_crash() {
     );
 }
 
-/// Attaching a *used* `SpecObject` to a database whose log holds state
-/// under that name must fail as a materialization error (and poison the
-/// name, like the hand-written wrappers' failed attaches) — not panic:
-/// installing a recovered version over existing history is refused by
-/// `TxObject::install_version`.
-#[test]
-fn attaching_a_used_spec_object_fails_cleanly_instead_of_panicking() {
-    use hybrid_cc::core::runtime::TxParticipant;
-    use hybrid_cc::core::TxnHandle;
-    use hybrid_cc::spec::TxnId;
-    use hybrid_cc::HccError;
-    use std::sync::Arc;
-
+/// The dirty-attach rule, for any handle type. `seed` puts state under
+/// `name` in a checkpointed log. `used` is a standalone instance with
+/// committed history of its own, so it is not fresh: `Db::attach` must
+/// refuse it as a failed materialization (and poison the name) instead
+/// of panicking or installing the image over its history —
+/// `TxObject::install_version` refuses a used object. `Db::object`
+/// (always a fresh instance) then still recovers the logged state, which
+/// `recovered` checks.
+fn a_used_handle_is_refused_on_attach<T: hybrid_cc::DbObject>(
+    name: &str,
+    seed: impl Fn(&T, &Arc<TxnHandle>) -> Result<(), ExecError>,
+    used: Arc<T>,
+    fresh: Arc<T>,
+    recovered: impl Fn(&T),
+) {
     let dir = tmp("dirty-attach");
     {
         let db = open_db(&dir);
-        let c = db.object::<SpecObject<CounterDef>>("c").unwrap();
-        db.transact(|tx| c.execute(tx, CounterInv::Inc(5)).map(|_| ()).map_err(Into::into))
-            .unwrap();
+        let obj = db.object::<T>(name).unwrap();
+        db.transact(|tx| seed(&obj, tx).map_err(Into::into)).unwrap();
         db.checkpoint().unwrap().expect("checkpoint so recovery restores a snapshot");
     }
     let db = open_db(&dir);
-    // A standalone instance with its own committed history: not fresh.
-    let dirty = Arc::new(SpecObject::<CounterDef>::new("c"));
-    let t = TxnHandle::new(TxnId(1));
-    dirty.execute(&t, CounterInv::Inc(1)).unwrap();
-    dirty.inner().commit_at(t.id(), 1);
-    let err = db.attach(dirty).err().expect("used instance must be refused");
+    let err = db.attach(used).err().expect("used instance must be refused");
     assert!(matches!(err, HccError::Recovery(_)), "failed materialization, not a panic: {err}");
     // The name is poisoned for further attaches...
-    let fresh = Arc::new(SpecObject::<CounterDef>::new("c"));
     assert!(matches!(db.attach(fresh), Err(HccError::PoisonedRecovery { .. })));
     // ...but `Db::object` (always a fresh instance) still recovers.
-    let c = db.object::<SpecObject<CounterDef>>("c").unwrap();
-    assert_eq!(c.committed_state(), 5, "recovered in full despite the failed attach");
+    recovered(&db.object::<T>(name).unwrap());
+}
+
+/// A standalone transaction for building a used instance.
+fn standalone() -> Arc<TxnHandle> {
+    TxnHandle::new(TxnId(1))
+}
+
+#[test]
+fn attaching_a_used_spec_object_fails_cleanly_instead_of_panicking() {
+    let dirty = Arc::new(SpecObject::<CounterDef>::hybrid("c"));
+    let t = standalone();
+    dirty.execute(&t, CounterInv::Inc(1)).unwrap();
+    dirty.inner().commit_at(t.id(), 1);
+    a_used_handle_is_refused_on_attach(
+        "c",
+        |c: &SpecObject<CounterDef>, tx| c.execute(tx, CounterInv::Inc(5)).map(|_| ()),
+        dirty,
+        Arc::new(SpecObject::<CounterDef>::hybrid("c")),
+        |c| assert_eq!(c.committed_state(), 5, "recovered in full despite the failed attach"),
+    );
+}
+
+/// The built-in handles follow the same rule: a used account or queue
+/// is refused, not restored on top of its own history (which would
+/// yield balance 6 below, or a queue holding both item sets).
+#[test]
+fn attaching_a_used_built_in_handle_fails_cleanly() {
+    let dirty = Arc::new(AccountObject::hybrid("acct"));
+    let t = standalone();
+    dirty.credit(&t, Rational::from_int(1)).unwrap();
+    dirty.inner().commit_at(t.id(), 100);
+    a_used_handle_is_refused_on_attach(
+        "acct",
+        |a: &AccountObject, tx| a.credit(tx, Rational::from_int(5)),
+        dirty,
+        Arc::new(AccountObject::hybrid("acct")),
+        |a| assert_eq!(a.committed_balance(), Rational::from_int(5)),
+    );
+
+    let dirty: Arc<QueueObject<i64>> = Arc::new(QueueObject::hybrid("q"));
+    let t = standalone();
+    dirty.enq(&t, 99).unwrap();
+    dirty.inner().commit_at(t.id(), 100);
+    a_used_handle_is_refused_on_attach(
+        "q",
+        |q: &QueueObject<i64>, tx| (1..=3).try_for_each(|i| q.enq(tx, i)),
+        dirty,
+        Arc::new(QueueObject::hybrid("q")),
+        |q| {
+            let items: Vec<i64> = q.inner().committed_snapshot().into_iter().collect();
+            assert_eq!(items, [1, 2, 3]);
+        },
+    );
 }
 
 #[test]
