@@ -2,12 +2,57 @@
 //! `benches/durable_mix.rs`); kept as a binary for fast iteration:
 //! `cargo run --release -p hcc-bench --bin mixprobe [reps]`.
 //! Reports the best of `reps` runs per cell (default 3) — the
-//! container's disk latency drifts, and max-of filters the drift out.
+//! container's disk latency drifts, and max-of filters the drift out —
+//! except the first line, the WAL publish layer cell, which reports the
+//! median and range.
 fn main() {
     use hcc_core::runtime::Durability;
     use hcc_workload::durable::{durable_account_mix, DurableMixOptions};
     let reps: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(3);
     let tmp = std::env::temp_dir();
+
+    // WAL publish, one layer down from the mixes: Begin + 3 ops + commit
+    // straight into a buffered single-stripe log, one thread. Reports
+    // the median (and range) of `reps` runs, plus `write(2)` calls per
+    // commit from the stripe's `wal.writes` counter.
+    {
+        use hcc_storage::{SegmentedWal, WalOptions};
+        let txns = 20_000u64;
+        let mut ns = Vec::new();
+        let mut writes_per_commit = 0f64;
+        for r in 0..reps.max(1) {
+            let dir = tmp.join(format!("probe-wal-publish-{r}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let metrics = hcc_obs::Registry::new();
+            let opts = WalOptions { durability: Durability::Buffered, ..WalOptions::default() };
+            let wal = SegmentedWal::open_with_metrics(&dir, opts, &metrics).expect("open wal");
+            let op = [7u8; 24];
+            let t0 = std::time::Instant::now();
+            for txn in 1..=txns {
+                wal.append_begin(txn).expect("begin");
+                for obj in 1..=3 {
+                    wal.append_op(wal.reserve(), txn, obj, &op).expect("op");
+                }
+                wal.commit_txn(txn, txn).expect("commit");
+            }
+            ns.push(t0.elapsed().as_nanos() as f64 / txns as f64);
+            writes_per_commit =
+                metrics.snapshot().counter("wal.writes.stripe00") as f64 / txns as f64;
+            drop(wal);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        ns.sort_by(f64::total_cmp);
+        println!(
+            "wal publish buffered s=1: {:7.0} ns/commit median ({:.0}..{:.0} over {} runs), \
+             {writes_per_commit:.2} writes/commit",
+            ns[ns.len() / 2],
+            ns[0],
+            ns[ns.len() - 1],
+            ns.len()
+        );
+        println!();
+    }
+
     for (d, group, name) in [
         (Durability::Fsync, false, "fsync/classical"),
         (Durability::Fsync, true, "fsync/group"),

@@ -54,7 +54,7 @@ mod follower;
 mod primary;
 
 pub use follower::{Follower, FollowerOptions, ObjectResolver};
-pub use primary::{PositionSampler, Primary, PrimaryOptions};
+pub use primary::{Primary, PrimaryOptions};
 
 /// Anything that can go wrong starting or running a replication role.
 #[derive(Debug)]

@@ -13,28 +13,31 @@
 //! and its lag reach 0 — without new commits).
 //!
 //! The shipper never reads transaction state: its only inputs are the
-//! WAL bytes and the position sampler. Losing the primary process
-//! therefore loses nothing the log didn't already hold — the exact
-//! guarantee promotion is specified against.
+//! WAL bytes and the `(watermark, ticket)` position pair. Losing the
+//! primary process therefore loses nothing the log didn't already hold
+//! — the exact guarantee promotion is specified against.
+//!
+//! A transaction's records wait in the WAL's stripe buffers until it
+//! completes, so the files can lag the issued tickets. A shipper whose
+//! tail runs dry below the sampled ticket pushes those buffers to the OS
+//! ([`DurableStore::flush`]) before it polls again: every poll the
+//! tailer spends as gap patience then sees every record appended so far,
+//! and patience only ever skips a ticket that was reserved and never
+//! appended.
 
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use hcc_db::Db;
 use hcc_obs::{Counter, Gauge, Registry};
-use hcc_storage::{TailOptions, WalTailer};
+use hcc_storage::{DurableStore, TailOptions, WalTailer};
+use hcc_txn::TxnManager;
 use hcc_wire::conn::{self, Listener, RecvHalf, SendHalf};
 use hcc_wire::repl::{ReplMsg, REPL_PROTOCOL_VERSION};
 use hcc_wire::MAX_WIRE_PAYLOAD;
-
-/// Samples the primary's `(stable_watermark, last_issued_ticket)` — in
-/// that order, which is what makes the pair safe for follower reads (see
-/// the crate docs). Typically built from a `TxnManager` + `DurableStore`
-/// pair; the server front door wires it up for you.
-pub type PositionSampler = Arc<dyn Fn() -> (u64, u64) + Send + Sync>;
 
 /// Tunables for a [`Primary`].
 #[derive(Clone, Debug)]
@@ -91,11 +94,22 @@ impl Instruments {
 }
 
 struct PrimaryShared {
-    wal_dir: PathBuf,
-    sample: PositionSampler,
+    store: Arc<DurableStore>,
+    mgr: Arc<TxnManager>,
     ins: Instruments,
     opts: PrimaryOptions,
     stop: AtomicBool,
+}
+
+impl PrimaryShared {
+    /// The primary's `(stable_watermark, last_issued_ticket)` — read in
+    /// that order, which is what makes the pair safe for follower reads
+    /// (see the crate docs).
+    fn positions(&self) -> (u64, u64) {
+        let wm = self.mgr.stable_watermark();
+        let tk = self.store.last_issued_ticket();
+        (wm, tk)
+    }
 }
 
 /// The replication listener: accepts followers and ships them the log.
@@ -110,22 +124,21 @@ pub struct Primary {
 
 impl Primary {
     /// Bind `addr` (port 0 for an OS-assigned port) and start accepting
-    /// followers, shipping the WAL under `wal_dir`. `sample` must read
-    /// the stable watermark **before** the last issued ticket; `metrics`
-    /// receives the `repl.*` primary-side family.
-    pub fn start(
-        addr: &str,
-        wal_dir: impl AsRef<Path>,
-        sample: PositionSampler,
-        metrics: &Registry,
-        opts: PrimaryOptions,
-    ) -> std::io::Result<Primary> {
+    /// followers, shipping the WAL of the durable `db`. The `repl.*`
+    /// primary-side metrics land in `db`'s registry.
+    pub fn start(addr: &str, db: &Db, opts: PrimaryOptions) -> std::io::Result<Primary> {
+        let Some(store) = db.storage() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "replication requires a durable Db (it ships the WAL)",
+            ));
+        };
         let listener = Listener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(PrimaryShared {
-            wal_dir: wal_dir.as_ref().to_path_buf(),
-            sample,
-            ins: Instruments::resolve(metrics),
+            store: store.clone(),
+            mgr: db.manager().clone(),
+            ins: Instruments::resolve(db.metrics()),
             opts,
             stop: AtomicBool::new(false),
         });
@@ -215,7 +228,7 @@ fn handshake(
         }
     }
     let tailer = match WalTailer::new(
-        &shared.wal_dir,
+        shared.store.dir(),
         last_ticket,
         TailOptions { gap_patience: shared.opts.gap_patience },
     ) {
@@ -259,7 +272,16 @@ fn ship(shared: &PrimaryShared, mut tx: SendHalf, mut rx: RecvHalf) {
                 }
             }
         }
-        let positions = (shared.sample)();
+        let positions = shared.positions();
+        if backlog.is_empty() && tailer.next_ticket() <= positions.1 {
+            // Issued tickets the files do not show yet may sit in a
+            // stripe buffer; make them visible before the next poll
+            // counts against the gap patience (see the module docs).
+            if let Err(e) = shared.store.flush() {
+                refuse(shared, &mut tx, &format!("flush failed: {e}"));
+                break;
+            }
+        }
         if backlog.is_empty() {
             if positions != last_positions {
                 // Heartbeat: new positions, no frames.

@@ -33,18 +33,6 @@ fn resolver() -> ObjectResolver {
     })
 }
 
-fn sampler(db: &Db) -> hcc_repl::PositionSampler {
-    let mgr = db.manager().clone();
-    let store = db.storage().expect("durable db").clone();
-    Arc::new(move || {
-        // Watermark FIRST, ticket second — the order the soundness
-        // argument in hcc_wire::repl depends on.
-        let wm = mgr.stable_watermark();
-        let tk = store.last_issued_ticket();
-        (wm, tk)
-    })
-}
-
 fn fast_primary_opts() -> PrimaryOptions {
     PrimaryOptions { poll_interval: Duration::from_millis(1), ..PrimaryOptions::default() }
 }
@@ -109,14 +97,7 @@ fn follower_converges_with_byte_identical_log_prefix() {
     let pdir = tmp("conv-primary");
     let rdir = tmp("conv-replica");
     let db = Db::builder().segment_max_bytes(4096).open(&pdir).unwrap();
-    let mut primary = Primary::start(
-        "127.0.0.1:0",
-        db.storage().unwrap().dir(),
-        sampler(&db),
-        db.metrics(),
-        fast_primary_opts(),
-    )
-    .unwrap();
+    let mut primary = Primary::start("127.0.0.1:0", &db, fast_primary_opts()).unwrap();
     let follower =
         Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts(2))
             .unwrap();
@@ -160,14 +141,7 @@ fn torn_tail_and_disconnect_resume_byte_identically() {
     let pdir = tmp("torn-primary");
     let rdir = tmp("torn-replica");
     let db = Db::builder().segment_max_bytes(4096).open(&pdir).unwrap();
-    let mut primary = Primary::start(
-        "127.0.0.1:0",
-        db.storage().unwrap().dir(),
-        sampler(&db),
-        db.metrics(),
-        fast_primary_opts(),
-    )
-    .unwrap();
+    let mut primary = Primary::start("127.0.0.1:0", &db, fast_primary_opts()).unwrap();
     let addr = primary.local_addr().to_string();
 
     // Phase 1: converge on some history, then kill the follower
@@ -224,14 +198,7 @@ fn promotion_preserves_replicated_commits_and_accepts_writes() {
     let pdir = tmp("promote-primary");
     let rdir = tmp("promote-replica");
     let db = Db::builder().segment_max_bytes(4096).open(&pdir).unwrap();
-    let mut primary = Primary::start(
-        "127.0.0.1:0",
-        db.storage().unwrap().dir(),
-        sampler(&db),
-        db.metrics(),
-        fast_primary_opts(),
-    )
-    .unwrap();
+    let mut primary = Primary::start("127.0.0.1:0", &db, fast_primary_opts()).unwrap();
     let follower =
         Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts(4))
             .unwrap();
@@ -266,4 +233,85 @@ fn promotion_preserves_replicated_commits_and_accepts_writes() {
     assert_eq!(c1.committed_value(), 35);
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);
+}
+
+/// A transaction's WAL records wait in their stripe buffers until it
+/// completes, so on a 4-stripe primary one stripe can show higher
+/// tickets while another still holds lower ones — for longer than the
+/// shipper's gap patience. Two such holes: the Begins of committed
+/// transactions on home stripes no commit settles, and an open
+/// transaction's op while another stripe commits past it. The shipper
+/// must make them visible instead of skipping them, or the follower
+/// drops a late op and faults on the commit that counts it.
+#[test]
+fn records_held_past_the_gap_patience_still_ship() {
+    use hcc_storage::Durability;
+    let hold = Duration::from_millis(400);
+    for durability in [Durability::Buffered, Durability::Fsync] {
+        let pdir = tmp("held-primary");
+        let rdir = tmp("held-replica");
+        let db = Db::builder().durability(durability).stripes(4).open(&pdir).unwrap();
+        // 50 polls × 2 ms of patience: well inside `hold`.
+        let popts = PrimaryOptions {
+            gap_patience: 50,
+            poll_interval: Duration::from_millis(2),
+            ..PrimaryOptions::default()
+        };
+        let mut primary = Primary::start("127.0.0.1:0", &db, popts).unwrap();
+        let follower =
+            Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts(4))
+                .unwrap();
+        let a = db.object::<CounterObject>("a").unwrap();
+        let b = db.object::<CounterObject>("b").unwrap();
+
+        // Committed transactions on `a` alone: each commit lands on a's
+        // stripe, leaving Begins on other home stripes unsettled.
+        for _ in 0..8 {
+            db.transact(|tx| Ok(a.inc(tx, 1)?)).unwrap();
+        }
+        std::thread::sleep(hold);
+
+        // An open transaction's op held on a's stripe while b's stripe
+        // commits past it.
+        std::thread::scope(|s| {
+            let (opened_tx, opened_rx) = std::sync::mpsc::channel();
+            let (db, a) = (&db, &a);
+            s.spawn(move || {
+                db.transact(|tx| {
+                    a.inc(tx, 1)?;
+                    let _ = opened_tx.send(());
+                    std::thread::sleep(hold);
+                    Ok(())
+                })
+                .unwrap();
+            });
+            opened_rx.recv().unwrap();
+            for _ in 0..8 {
+                db.transact(|tx| Ok(b.inc(tx, 1)?)).unwrap();
+            }
+        });
+
+        await_convergence(&db, &follower);
+        db.storage().unwrap().sync().unwrap();
+        let cut = follower.durable_ticket();
+        assert_eq!(
+            log_prefix_bytes(&pdir, cut),
+            log_prefix_bytes(&rdir, cut),
+            "{durability:?}: the replica log is the primary's, no frame skipped"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while follower.watermark() < db.manager().stable_watermark() {
+            assert!(Instant::now() < deadline, "{durability:?}: watermark stuck");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let fa = follower.db().object::<CounterObject>("a").unwrap();
+        let fb = follower.db().object::<CounterObject>("b").unwrap();
+        assert_eq!(fa.state_at(follower.watermark()).unwrap(), 9, "{durability:?}");
+        assert_eq!(fb.state_at(follower.watermark()).unwrap(), 8, "{durability:?}");
+
+        drop(follower);
+        primary.stop();
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&rdir);
+    }
 }

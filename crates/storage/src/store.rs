@@ -505,6 +505,14 @@ impl DurableStore {
         self.wal.sync()
     }
 
+    /// Write every stripe's process buffer to the OS without an fsync.
+    /// Records of transactions that have not completed wait in those
+    /// buffers; a reader of the segment files (the replication tailer)
+    /// calls this before treating a missing ticket as never coming.
+    pub fn flush(&self) -> Result<(), StorageError> {
+        self.wal.flush()
+    }
+
     /// Current log statistics.
     pub fn stats(&self) -> LogStats {
         self.wal.stats()

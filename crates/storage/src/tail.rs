@@ -17,8 +17,11 @@
 //!
 //! Three ways a ticket can be missing at the contiguity frontier:
 //!
-//! * **in flight** — reserved, not yet flushed. Microseconds; the next
-//!   poll finds it. This is the common case and why the tailer waits.
+//! * **in flight** — reserved, not yet appended, or appended but still
+//!   in a stripe's process buffer (a transaction's records stay there
+//!   until it completes). The writer's own flush, or the shipper's
+//!   `DurableStore::flush`, makes it visible to a later poll. This is the
+//!   common case and why the tailer waits.
 //! * **never coming** — a transaction reserved the ticket and then hit
 //!   an append failure and aborted, or the ticket is below the log's
 //!   pruned floor. Waiting forever would wedge the stream, so after
@@ -30,11 +33,16 @@
 //!   bootstraps from a checkpoint first — a ROADMAP follow-up); the
 //!   tailer surfaces the vanished file as an error instead of guessing.
 //!
-//! Visibility follows the writer's flush discipline: `Buffered` and
-//! classical `Fsync` flush every record to the OS, group-commit `Fsync`
-//! parks op records in a process buffer until the next group flush, and
-//! `Durability::None` may hold several KiB back indefinitely — which is
-//! why replication is specified for the buffered/fsync modes.
+//! Visibility follows the writer's flush discipline, which is the same
+//! at every durability level: a record reaches the OS when a completion
+//! record is written on its stripe, the commit path settles the stripe,
+//! the stripe's buffer passes 64 KiB, the segment rotates, or the log
+//! closes. So the files can lag the issued tickets by every open
+//! transaction's records, on any stripe, for as long as it stays open.
+//! A reader that must not mistake such a record for a dead ticket — the
+//! replication shipper — calls `DurableStore::flush` before each poll
+//! that would spend patience; patience then only runs out on a ticket
+//! that was never appended.
 
 use std::collections::BTreeMap;
 use std::fs;

@@ -43,6 +43,16 @@
 //! recovery: commit records carry their op count, and a commit with
 //! missing ops is dropped as incompletely durable.
 //!
+//! ## When records reach the OS
+//!
+//! One rule for every durability level: a record stays in its stripe's
+//! process buffer until a completion record is written on that stripe,
+//! the commit path settles the stripe, the buffer passes
+//! [`BUFFER_FLUSH_BYTES`], the segment rotates, or the log closes. A
+//! transaction's records are private intentions until it completes, so
+//! they need no `write(2)` of their own: under `Buffered` a commit makes
+//! one write per stripe it touched, just before it is acknowledged.
+//!
 //! ## Rotation
 //!
 //! A segment that exceeds `segment_max_bytes` is finished: flushed,
@@ -61,8 +71,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Flush threshold for `Durability::None` (bounds process-buffer growth).
-const NONE_FLUSH_BYTES: usize = 64 * 1024;
+/// A stripe's process buffer is written to the OS once it passes this
+/// size, whatever the durability level (bounds process-buffer growth).
+const BUFFER_FLUSH_BYTES: usize = 64 * 1024;
 
 /// Upper bound on the stripe count (dirty-stripe sets are u64 bitmasks).
 pub const MAX_STRIPES: usize = 64;
@@ -128,11 +139,13 @@ struct SyncState {
 
 /// The metric handles one stripe bumps on its hot paths, resolved once at
 /// open so appends never touch the registry's name map. The per-stripe
-/// append counter is distinct per stripe (`wal.appends.stripeNN`); the
-/// rotation counter and the fsync/batch histograms are shared across
-/// stripes (stripes sync in parallel, the histograms are sharded).
+/// append and `write(2)` counters are distinct per stripe
+/// (`wal.appends.stripeNN`, `wal.writes.stripeNN`); the rotation counter
+/// and the fsync/batch histograms are shared across stripes (stripes
+/// sync in parallel, the histograms are sharded).
 struct StripeInstruments {
     appends: std::sync::Arc<Counter>,
+    writes: std::sync::Arc<Counter>,
     rotations: std::sync::Arc<Counter>,
     fsync_nanos: std::sync::Arc<Histogram>,
     batch: std::sync::Arc<Histogram>,
@@ -142,6 +155,7 @@ impl StripeInstruments {
     fn resolve(metrics: &Registry, stripe: usize) -> StripeInstruments {
         StripeInstruments {
             appends: metrics.counter(&format!("wal.appends.stripe{stripe:02}")),
+            writes: metrics.counter(&format!("wal.writes.stripe{stripe:02}")),
             rotations: metrics.counter("wal.rotations"),
             fsync_nanos: metrics.histogram("wal.fsync_nanos"),
             batch: metrics.histogram("wal.group_commit.batch"),
@@ -355,8 +369,9 @@ impl Stripe {
     }
 
     /// Write the process buffer to the OS.
-    fn flush_locked(inner: &mut Inner) -> std::io::Result<()> {
+    fn flush_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
         if !inner.buf.is_empty() {
+            self.ins.writes.inc();
             (&*inner.file).write_all(&inner.buf)?;
             inner.buf.clear();
         }
@@ -366,7 +381,7 @@ impl Stripe {
     /// Finish the active segment (flush + fsync) and open the next one.
     /// Everything written so far becomes durable, so `synced_pos` advances.
     fn rotate_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
-        Self::flush_locked(inner)?;
+        self.flush_locked(inner)?;
         inner.file.sync_data()?;
         self.ins.rotations.inc();
         let durable_pos = inner.next_pos - 1;
@@ -427,27 +442,15 @@ impl Stripe {
         Ok(pos)
     }
 
-    /// Append a non-completion record, buffered per the durability level.
+    /// Append a record that needs no durability of its own. It rides in
+    /// the process buffer until the stripe's next completion, settle,
+    /// rotation, or close writes it out (see the module docs) — or until
+    /// the buffer outgrows [`BUFFER_FLUSH_BYTES`].
     fn append(&self, rec: &LogRecord, seq: u64, opts: &WalOptions) -> Result<(), StorageError> {
         let mut inner = self.lock_inner();
         self.append_locked(&mut inner, rec, seq, opts.segment_max_bytes)?;
-        match opts.durability {
-            Durability::None => {
-                if inner.buf.len() >= NONE_FLUSH_BYTES {
-                    Self::flush_locked(&mut inner)?;
-                }
-            }
-            // Under group commit, op records ride in the process buffer:
-            // the sync leader flushes everything before any fsync, so they
-            // never need their own write syscall. The classical
-            // (non-group) discipline flushes every record, like the
-            // legacy line-JSON log.
-            Durability::Fsync if opts.group_commit => {
-                if inner.buf.len() >= NONE_FLUSH_BYTES {
-                    Self::flush_locked(&mut inner)?;
-                }
-            }
-            Durability::Buffered | Durability::Fsync => Self::flush_locked(&mut inner)?,
+        if inner.buf.len() >= BUFFER_FLUSH_BYTES {
+            self.flush_locked(&mut inner)?;
         }
         Ok(())
     }
@@ -462,7 +465,7 @@ impl Stripe {
         match opts.durability {
             Durability::None => Ok(()),
             Durability::Buffered => {
-                Self::flush_locked(&mut inner)?;
+                self.flush_locked(&mut inner)?;
                 Ok(())
             }
             Durability::Fsync => {
@@ -474,10 +477,9 @@ impl Stripe {
                     drop(inner);
                     self.group_sync(pos)
                 } else {
-                    Self::flush_locked(&mut inner)?;
-                    // Classical discipline (the legacy `Wal::append_sync`):
-                    // the stripe lock is held across the fsync, serializing
-                    // one durable commit at a time.
+                    self.flush_locked(&mut inner)?;
+                    // Classical discipline: the stripe lock is held across
+                    // the fsync, serializing one durable commit at a time.
                     let started = std::time::Instant::now();
                     inner.file.sync_data()?;
                     self.ins.fsync_nanos.observe_duration(started.elapsed());
@@ -496,7 +498,7 @@ impl Stripe {
             Durability::None => Ok(()),
             Durability::Buffered => {
                 let mut inner = self.lock_inner();
-                Self::flush_locked(&mut inner)?;
+                self.flush_locked(&mut inner)?;
                 Ok(())
             }
             Durability::Fsync if group_commit => {
@@ -505,7 +507,7 @@ impl Stripe {
             }
             Durability::Fsync => {
                 let mut inner = self.lock_inner();
-                Self::flush_locked(&mut inner)?;
+                self.flush_locked(&mut inner)?;
                 inner.file.sync_data()?;
                 Ok(())
             }
@@ -539,7 +541,7 @@ impl Stripe {
                 let outcome: std::io::Result<u64> = (|| {
                     let (high, file) = {
                         let mut inner = self.lock_inner();
-                        Self::flush_locked(&mut inner)?;
+                        self.flush_locked(&mut inner)?;
                         (inner.next_pos - 1, inner.file.clone())
                     };
                     let started = std::time::Instant::now();
@@ -923,12 +925,24 @@ impl SegmentedWal {
         }
     }
 
+    /// Write every stripe's process buffer to the OS (no fsync): records
+    /// of transactions still in flight become visible to readers of the
+    /// segment files, such as the replication tailer.
+    pub fn flush(&self) -> Result<(), StorageError> {
+        let mut out = Ok(());
+        for stripe in &self.stripes {
+            // A failed stripe does not stop the others from flushing.
+            out = out.and(stripe.flush_locked(&mut stripe.lock_inner()));
+        }
+        Ok(out?)
+    }
+
     /// Flush every stripe's buffer and fsync its active segment.
     pub fn sync(&self) -> Result<(), StorageError> {
         for stripe in &self.stripes {
             let file = {
                 let mut inner = stripe.lock_inner();
-                Stripe::flush_locked(&mut inner)?;
+                stripe.flush_locked(&mut inner)?;
                 inner.file.clone()
             };
             file.sync_data()?;
@@ -1013,12 +1027,9 @@ impl SegmentedWal {
 
 impl Drop for SegmentedWal {
     /// Orderly close: push every stripe's buffer to the OS so only a real
-    /// crash — not a clean shutdown — can lose `Durability::None` records.
+    /// crash — not a clean shutdown — can lose buffered records.
     fn drop(&mut self) {
-        for stripe in &self.stripes {
-            let mut inner = stripe.lock_inner();
-            let _ = Stripe::flush_locked(&mut inner);
-        }
+        let _ = self.flush();
     }
 }
 
@@ -1153,6 +1164,55 @@ mod tests {
         assert!(!torn);
         assert_eq!(recs.len(), 3);
         assert!(matches!(recs[2].1, LogRecord::Commit { txn: 1, ts: 9, ops: 1, .. }));
+    }
+
+    /// `write(2)` calls stripe `stripe` has made so far.
+    fn writes(metrics: &Registry, stripe: usize) -> u64 {
+        metrics.snapshot().counter(&format!("wal.writes.stripe{stripe:02}"))
+    }
+
+    /// Open a log at `durability` with `stripes` stripes, counting into
+    /// a fresh registry.
+    fn counted(name: &str, durability: Durability, stripes: usize) -> (SegmentedWal, Registry) {
+        let metrics = Registry::new();
+        let opts = WalOptions { segment_max_bytes: 1 << 20, durability, ..striped(stripes) };
+        (SegmentedWal::open_with_metrics(tmp(name), opts, &metrics).unwrap(), metrics)
+    }
+
+    /// Begin + 3 ops + commit costs one `write(2)` per stripe the
+    /// transaction touched, under `Buffered` exactly as under
+    /// group-commit `Fsync`: nothing is written before the commit.
+    #[test]
+    fn a_commit_writes_each_touched_stripe_once() {
+        for durability in [Durability::Buffered, Durability::Fsync] {
+            // Txn 1's home stripe is 1. On four stripes, objects 1 and 5
+            // land there too and object 2 on stripe 2, so the commit
+            // settles stripe 2 and lands on stripe 1 with the Begin.
+            for (stripes, want) in [(1, vec![1]), (4, vec![0, 1, 1, 0])] {
+                let (wal, metrics) = counted("writes", durability, stripes);
+                let counts = || (0..stripes).map(|s| writes(&metrics, s)).collect::<Vec<u64>>();
+                wal.append_begin(1).unwrap();
+                for obj in [1, 2, 5] {
+                    wal.append_op(wal.reserve(), 1, obj, &[obj as u8; 8]).unwrap();
+                }
+                assert!(counts().iter().all(|&w| w == 0), "{durability:?}: records wait");
+                wal.commit_txn(1, 1).unwrap();
+                assert_eq!(counts(), want, "{durability:?}, {stripes} stripes");
+            }
+        }
+    }
+
+    #[test]
+    fn flush_makes_held_records_visible_without_completing_them() {
+        let (wal, metrics) = counted("writes-flush", Durability::Buffered, 2);
+        wal.append_begin(1).unwrap();
+        wal.append_op(wal.reserve(), 1, 0, b"held").unwrap();
+        assert!(read_records(wal.dir()).unwrap().0.is_empty(), "nothing reached the OS yet");
+        wal.flush().unwrap();
+        assert_eq!(read_records(wal.dir()).unwrap().0.len(), 2);
+        assert_eq!((writes(&metrics, 0), writes(&metrics, 1)), (1, 1));
+        wal.flush().unwrap();
+        assert_eq!((writes(&metrics, 0), writes(&metrics, 1)), (1, 1), "empty buffers: no write");
     }
 
     #[test]

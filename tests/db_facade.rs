@@ -240,3 +240,89 @@ fn manual_escape_hatch_and_transact_share_one_log() {
     assert_eq!(acct.committed_balance(), money(23));
     assert_eq!(db.recovery_report().replayed, 4);
 }
+
+/// Copy a store directory tree, file by file — what a crash leaves on
+/// the file system, taken while the store is still open.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// Under `Buffered`, an acknowledged commit has reached the OS when
+/// `transact` returns; no clean close is needed. A copy of the live
+/// directory — the `Db` still open, so its closing flush never ran, and
+/// another transaction still open — recovers every acked commit with
+/// all its ops, and the open transaction's op records are neither in
+/// the copy nor needed by it.
+#[test]
+fn buffered_acks_reach_the_os_before_the_db_closes() {
+    use hybrid_cc::storage::wal::read_records;
+    use hybrid_cc::storage::{Durability, LogRecord};
+    for stripes in [1usize, 4] {
+        let dir = tmp(&format!("acked-live-{stripes}"));
+        let copy = tmp(&format!("acked-copy-{stripes}"));
+        let builder = || {
+            Db::builder()
+                .durability(Durability::Buffered)
+                .stripes(stripes)
+                .compaction(CompactionPolicy::never())
+        };
+        let db = builder().open(&dir).unwrap();
+        let counters: Vec<_> =
+            (0..4).map(|i| db.object::<CounterObject>(&format!("c{i}")).unwrap()).collect();
+        let mut fold = [0i64; 4];
+        for i in 0..40 {
+            let (x, y) = (i % 4, (i * 3 + 1) % 4);
+            db.transact(|tx| {
+                counters[x].inc(tx, 1)?;
+                counters[y].inc(tx, 10)?;
+                counters[x].inc(tx, 100)?;
+                Ok(())
+            })
+            .unwrap();
+            fold[x] += 101;
+            fold[y] += 10;
+        }
+        let open = db.manager().begin();
+        counters[0].inc(&open, 1000).unwrap();
+        counters[1].inc(&open, 1000).unwrap();
+
+        copy_dir(&dir, &copy);
+        let (records, _) = read_records(&copy).unwrap();
+        let committed: std::collections::HashSet<u64> = records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                LogRecord::Commit { txn, .. } => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(committed.len(), 40, "stripes={stripes}: every acked commit is on the OS");
+        assert!(
+            records.iter().all(|(_, r)| match r {
+                LogRecord::Op { txn, .. } => committed.contains(txn),
+                _ => true,
+            }),
+            "stripes={stripes}: the open transaction's ops are still held in its buffers"
+        );
+
+        let recovered = builder().open(&copy).unwrap();
+        assert_eq!(recovered.recovery_report().replayed, 40, "stripes={stripes}");
+        for (i, want) in fold.iter().enumerate() {
+            let c = recovered.object::<CounterObject>(&format!("c{i}")).unwrap();
+            assert_eq!(c.committed_value(), *want, "stripes={stripes}: c{i} equals the fold");
+        }
+        drop(recovered);
+        db.manager().abort(open);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&copy);
+    }
+}
