@@ -1,16 +1,23 @@
 //! # hcc-bench — the benchmark harness
 //!
-//! Regenerates every artifact of the paper's presentation and quantifies
-//! each concurrency claim (see `EXPERIMENTS.md` at the workspace root for
-//! the per-experiment index):
+//! Regenerates every artifact of the paper's presentation, quantifies
+//! each concurrency claim, and times the system layer by layer. Each
+//! question has one binary:
 //!
 //! * `cargo run -p hcc-bench --bin paper_tables` — derives and prints
 //!   Tables I–VI from the serial specifications, including the enumeration
 //!   of the queue's two minimal dependency relations.
-//! * `cargo run -p hcc-bench --release --bin experiments` — runs the
-//!   throughput/conflict experiments E7–E13 and prints result tables.
-//! * `cargo bench` — Criterion benches: one per paper table (derivation
-//!   cost) and one per claim experiment (throughput under each scheme).
+//! * `cargo run -p hcc-bench --release --bin experiments [--quick]` — runs
+//!   the throughput/conflict experiments E7–E13 (each scheme on the queue,
+//!   account, register and semiqueue, plus the E11 compaction view cost)
+//!   and prints result tables.
+//! * `cargo run -p hcc-bench --release --bin mixprobe [reps]` — the timing
+//!   cells: WAL publish and fsync disciplines, the durable mix grid, facade
+//!   and defined-ADT overhead, the read-heavy mix, the checkpoint stall,
+//!   per-scheme lock overhead, derivation and `adtcheck` cost, and the obs
+//!   primitives; each prints the median and min..max over `reps` runs.
+//! * `cargo run -p hcc-bench --release --bin obscheck` — checks
+//!   `HCC_METRICS=json` dumps read from stdin against the dump contract.
 
 use hcc_relations::tables::{self, AdtConfig, RelationTable};
 

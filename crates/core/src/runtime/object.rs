@@ -424,10 +424,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             return Err(ReplayError::Exec(ExecError::NotActive));
         }
         let mut st = self.inner.lock();
-        let committed_refs: Vec<&A::Intent> = st.committed.values().map(|r| &r.intent).collect();
-        let own = st.active.get(&txn.id()).map(|r| r.intent.clone()).unwrap_or_default();
-        let candidates = self.adt.candidates(&st.version, &committed_refs, &own, &inv);
-        drop(committed_refs);
+        let candidates = self.view_candidates(&st, txn.id(), &inv);
         let Some((res, intent)) = candidates.into_iter().find(|(res, _)| *res == expected) else {
             return Err(ReplayError::Diverged { expected: format!("{expected:?}") });
         };
@@ -526,6 +523,26 @@ impl<A: RuntimeAdt> TxObject<A> {
         }
     }
 
+    /// The outcomes `inv` may have in `txn`'s view: the version, then the
+    /// committed intents in timestamp order, then `txn`'s own intent.
+    fn view_candidates(
+        &self,
+        st: &ObjState<A>,
+        txn: TxnId,
+        inv: &A::Inv,
+    ) -> Vec<(A::Res, A::Intent)> {
+        let committed: Vec<&A::Intent> = st.committed.values().map(|r| &r.intent).collect();
+        let empty;
+        let own = match st.active.get(&txn) {
+            Some(rec) => &rec.intent,
+            None => {
+                empty = A::Intent::default();
+                &empty
+            }
+        };
+        self.adt.candidates(&st.version, &committed, own, inv)
+    }
+
     fn attempt(
         &self,
         st: &mut ObjState<A>,
@@ -533,11 +550,7 @@ impl<A: RuntimeAdt> TxObject<A> {
         inv: &A::Inv,
         conflict_ops: &mut Option<ConflictPair<A>>,
     ) -> TryExecOutcome<A::Res> {
-        // Assemble the view: version + committed intents (ts order) + own.
-        let committed_refs: Vec<&A::Intent> = st.committed.values().map(|r| &r.intent).collect();
-        let own = st.active.get(&txn).map(|r| r.intent.clone()).unwrap_or_default();
-        let candidates = self.adt.candidates(&st.version, &committed_refs, &own, inv);
-        drop(committed_refs);
+        let candidates = self.view_candidates(st, txn, inv);
         if candidates.is_empty() {
             return TryExecOutcome::Undefined;
         }
@@ -633,7 +646,12 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// [`TxObject::pin_horizon`] at the watermark (the fuzzy-checkpoint
     /// protocol).
     pub fn committed_snapshot_at(&self, watermark: u64) -> A::Version {
-        let st = self.inner.lock();
+        self.fold_to(&self.inner.lock(), watermark)
+    }
+
+    /// The version with every committed intent at `ts ≤ watermark`
+    /// applied, in timestamp order.
+    fn fold_to(&self, st: &ObjState<A>, watermark: u64) -> A::Version {
         let mut v = st.version.clone();
         for (_, rec) in st.committed.range(..=watermark) {
             self.adt.apply(&mut v, &rec.intent);
@@ -660,11 +678,7 @@ impl<A: RuntimeAdt> TxObject<A> {
         if st.folded > watermark {
             return Err(SnapshotStale { folded: st.folded, watermark });
         }
-        let mut v = st.version.clone();
-        for (_, rec) in st.committed.range(..=watermark) {
-            self.adt.apply(&mut v, &rec.intent);
-        }
-        Ok(v)
+        Ok(self.fold_to(&st, watermark))
     }
 
     /// Forbid `forget()` from folding commits with `ts > watermark` into

@@ -80,21 +80,10 @@ pub trait RedoSink: Send + Sync {
     /// object's lock; may block (group commit, rotation) and must absorb
     /// I/O failures for commit-time handling.
     fn publish(&self, ticket: RedoTicket, txn: TxnId, object: &str, op: &[u8]);
-
-    /// One-shot convenience: reserve and immediately publish. Correct
-    /// whenever the caller's execution order is already serialized some
-    /// other way (single-threaded drivers, site mailboxes).
-    fn record_op(&self, txn: TxnId, object: &str, op: &[u8]) {
-        let ticket = self.reserve(txn, object);
-        self.publish(ticket, txn, object, op);
-    }
 }
 
 /// How far a completion record must travel before a commit is
-/// acknowledged. The authoritative setting lives on `hcc-storage`'s
-/// `StorageOptions`; `TxnManager::object_options` mirrors the store's
-/// level into the options it hands out, so code holding only a
-/// `RuntimeOptions` can see what durability its commits actually get.
+/// acknowledged. The setting lives on `hcc-storage`'s `StorageOptions`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Durability {
     /// Records stay in the process's own buffer until an opportunistic
@@ -117,9 +106,6 @@ pub struct RuntimeOptions {
     pub block: BlockPolicy,
     /// Contention observer (deadlock detection hook).
     pub observer: Arc<dyn WaitObserver>,
-    /// Durability required of completion records when a durable log is
-    /// attached (ignored when running purely in memory).
-    pub durability: Durability,
     /// Where executed operations' redo payloads are recorded. `None` runs
     /// the object purely in memory; `Some` makes every mutating operation
     /// self-logging (`TxnManager::object_options` wires the manager in
@@ -147,7 +133,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             block: BlockPolicy::default(),
             observer: Arc::new(NullObserver),
-            durability: Durability::default(),
             redo: None,
             metrics: Arc::new(Registry::new()),
             trace: None,
@@ -168,12 +153,6 @@ impl RuntimeOptions {
             block: BlockPolicy { timeout, ..BlockPolicy::default() },
             ..RuntimeOptions::default()
         }
-    }
-
-    /// The same options with a different durability requirement.
-    pub fn with_durability(mut self, durability: Durability) -> RuntimeOptions {
-        self.durability = durability;
-        self
     }
 
     /// The same options with mutating operations self-logging through

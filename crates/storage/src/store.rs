@@ -390,11 +390,6 @@ impl DurableStore {
         &self.dir
     }
 
-    /// The configured durability level.
-    pub fn durability(&self) -> Durability {
-        self.opts.durability
-    }
-
     /// The number of WAL append stripes.
     pub fn stripes(&self) -> usize {
         self.wal.stripe_count()

@@ -271,15 +271,13 @@ impl TxnManager {
     }
 
     /// Runtime options *binding* objects to this manager: the deadlock
-    /// detector as wait observer, the durability level the manager
-    /// actually runs at, and — when the manager has a durable store — the
+    /// detector as wait observer, the manager's metrics, trace and
+    /// horizon pins, and — when the manager has a durable store — the
     /// manager itself as the redo sink, so every mutating operation on an
     /// object built with these options serializes and logs itself. There
     /// is no separate logging call for callers to forget.
     pub fn object_options(self: &Arc<Self>) -> RuntimeOptions {
-        let durability = self.store.as_ref().map(|s| s.durability()).unwrap_or_default();
         let opts = RuntimeOptions::with_observer(self.detector.clone())
-            .with_durability(durability)
             .with_metrics(self.metrics.clone())
             .with_trace(self.trace.clone())
             .with_horizon(self.horizon.clone());

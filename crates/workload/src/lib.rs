@@ -1,6 +1,7 @@
 //! # hcc-workload — workload generators and the multithreaded driver
 //!
-//! Every experiment in `EXPERIMENTS.md` runs through this crate: it
+//! Every claim experiment (E7–E13, run by `hcc-bench`'s `experiments`
+//! binary) runs through this crate: it
 //! constructs objects under a chosen [`Scheme`], drives them with worker
 //! threads through the `hcc-txn` manager (abort-and-retry on timeouts and
 //! deadlock victims), and reports [`Metrics`].
